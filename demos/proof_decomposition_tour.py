@@ -53,16 +53,18 @@ def main() -> None:
           f"(bound {norm_bound:.6f})")
 
     # 3. the exhaustive envelope, on the commuting diagonal pair where the
-    # certificate is feasible.
+    # certificate is feasible.  One scan to the deepest horizon serves the
+    # constant and every check: the rate is applied when the profile is read.
     diag = sw.MatrixFamily((np.diag([1.2, 0.4]), np.diag([0.4, 1.2])))
     dcomb = sw.find_stable_combination(diag)
     cert = sw.check_certificate(diag, dcomb)
     basis = sw.basis_length(diag, dcomb)
-    c = sw.envelope_constant(diag, dcomb, cert.rate)
+    profile = sw.envelope_profile(diag, dcomb, basis + 6)
+    c = profile.bound_check(cert.rate, horizon=basis).max_ratio
     print(f"\n3. diagonal pair: certified rate {cert.rate:.6f}, "
           f"envelope constant {c:.6f} over the basis horizon {basis}")
     for horizon in (basis, basis + 2, basis + 6):
-        check = sw.exhaustive_bound_check(diag, dcomb, cert.rate, c, horizon)
+        check = profile.bound_check(cert.rate, c, horizon)
         verdict = "holds" if check.max_ratio <= 1.0 else "FAILS"
         print(f"   horizon {horizon:>2}: max ratio {check.max_ratio:.6f} "
               f"({check.products_checked} products) -> envelope {verdict}"

@@ -18,7 +18,6 @@ from .certificate import (
     compute_constants,
     max_certified_rate,
     rate_upper_limit,
-    sweep_contraction_power,
 )
 from .family import MatrixFamily
 from .graph import (
@@ -28,7 +27,6 @@ from .graph import (
     build_graph,
     generate_walk,
     max_stable_gap,
-    signal_at,
     validate_walk,
     walk_to_signal,
 )
@@ -42,7 +40,6 @@ from .linalg import (
     SCHUR_MARGIN,
     commutator,
     is_schur_stable,
-    mat_mul,
     mat_power,
     operator_norm,
     schur_class,
@@ -51,12 +48,13 @@ from .linalg import (
 from .oracle import (
     BoundCheck,
     EnumerationCapExceeded,
+    EnvelopeProfile,
     ProductDecomposition,
     basis_length,
     decompose_product,
-    enumerate_walks,
     envelope_constant,
     envelope_constant_bound,
+    envelope_profile,
     exchange_identity_residual,
     exhaustive_bound_check,
     sound_certified_rate,

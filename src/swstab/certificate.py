@@ -20,10 +20,10 @@ diag(0.192, 0.576) every 3 steps and decays at only -ln(0.576)/3 ~ 0.184.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .family import MatrixFamily
-from .linalg import commutator, is_schur_stable, mat_power, operator_norm
+from .linalg import commutator, is_schur_stable, operator_norm
 from .search import StableCombination, compute_contraction
 
 # The certificate is issued slightly inside the supremum rate so both
@@ -73,7 +73,6 @@ class Certificate:
     feasible: bool
     margin: float  # 1 - lhs_value
     boundary: bool = False
-    envelope_constant: float | None = None  # filled by the proof oracle
 
 
 def compute_constants(
@@ -214,35 +213,3 @@ def check_certificate(
         margin=margin,
         boundary=boundary,
     )
-
-
-def sweep_contraction_power(
-    family: MatrixFamily,
-    comb: StableCombination,
-    m_sweep_max: int,
-) -> StableCombination:
-    """Optionally trade a larger contraction power for a better rate.
-
-    Evaluates every power from the minimal one up to m_sweep_max and keeps
-    the one maximizing the certified rate.  Off by default in all
-    pipelines; the minimal power is usually best but not always.
-    """
-    best_comb = comb
-    best_rate = -math.inf
-    inputs = compute_constants(family, comb)
-    p = mat_power(comb.product, comb.contraction_power)
-    for m in range(comb.contraction_power, m_sweep_max + 1):
-        norm = operator_norm(p)
-        if norm < 1.0:
-            candidate = replace(
-                comb, contraction_power=m, contraction_norm=norm
-            )
-            cand_inputs = replace(
-                inputs, contraction_power=m, contraction_norm=norm
-            )
-            rate = max_certified_rate(cand_inputs)
-            if rate is not None and rate > best_rate:
-                best_rate = rate
-                best_comb = candidate
-        p = comb.product @ p
-    return best_comb

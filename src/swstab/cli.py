@@ -37,10 +37,10 @@ from .oracle import (
     decompose_product,
     envelope_constant,
     envelope_constant_bound,
+    envelope_profile,
     exchange_identity_residual,
-    exhaustive_bound_check,
 )
-from .search import find_stable_combination
+from .search import assert_all_unstable, find_stable_combination
 from .simulate import fit_decay, simulate, verify_ges
 
 EXIT_OK = 0
@@ -95,15 +95,9 @@ def _combination_dict(comb) -> dict:
     }
 
 
-def _assumption_report(family) -> list[int]:
-    from .search import assert_all_unstable
-
-    return assert_all_unstable(family)
-
-
 def cmd_analyze(args) -> int:
     family = _load_family(args)
-    violations = _assumption_report(family)
+    violations = assert_all_unstable(family)
     print(f"family: N={family.size} dim={family.dim}")
     if violations:
         print(f"stable subsystems (all-unstable assumption fails): {violations}")
@@ -193,6 +187,16 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _capped_profile(family, comb, horizon, basis):
+    """One envelope scan to `horizon`, else to the basis alone, else None."""
+    for h in (horizon, basis):
+        try:
+            return envelope_profile(family, comb, h, cap=PIPELINE_ENUM_CAP)
+        except EnumerationCapExceeded:
+            pass
+    return None
+
+
 def cmd_verify(args) -> int:
     family = _load_family(args)
     comb = _find_combination(family, args)
@@ -213,28 +217,28 @@ def cmd_verify(args) -> int:
     print(f"exchange identity residual: {_fmt(residual)} {'PASS' if ok else 'FAIL'}")
 
     basis = basis_length(family, comb)
-    try:
-        c = envelope_constant(family, comb, cert.rate, cap=PIPELINE_ENUM_CAP)
-        method = "exhaustive"
-    except EnumerationCapExceeded:
-        c = envelope_constant_bound(family, comb, cert.rate)
-        method = "norm-bound"
+    horizon = basis + max(args.extra, 0)
+    profile = _capped_profile(family, comb, horizon, basis)
+    if profile is None:
+        c, method = envelope_constant_bound(family, comb, cert.rate), "norm-bound"
+    else:
+        c, method = profile.bound_check(cert.rate, horizon=basis).max_ratio, "exhaustive"
     print(f"envelope constant: {_fmt(c)} ({method}, basis length {basis})")
 
-    if method == "exhaustive":
-        try:
-            check = exhaustive_bound_check(
-                family, comb, cert.rate, c, basis + args.extra, cap=PIPELINE_ENUM_CAP
-            )
+    if profile is not None:
+        if horizon == basis:
+            print("exhaustive envelope check: SKIP (no lengths past the basis)")
+        elif profile.horizon < horizon:
+            print("exhaustive envelope check: SKIP (enumeration cap)")
+        else:
+            check = profile.bound_check(cert.rate, c)
             ok = check.max_ratio <= 1.0
             failures += not ok
             print(
-                f"exhaustive envelope check to length {basis + args.extra}: "
+                f"exhaustive envelope check to length {horizon}: "
                 f"max_ratio={_fmt(check.max_ratio)} "
                 f"({check.products_checked} products) {'PASS' if ok else 'FAIL'}"
             )
-        except EnumerationCapExceeded:
-            print("exhaustive envelope check: SKIP (enumeration cap)")
 
     n, hub = family.size, family.size + 1
     segment = (list(range(1, n + 1)) + [hub]) * comb.contraction_power
@@ -287,7 +291,7 @@ def cmd_experiment(args) -> int:
             "trials": args.trials,
             "allow_stable_self_loop": args.allow_stable_self_loop,
         },
-        "assumption_violations": _assumption_report(family),
+        "assumption_violations": assert_all_unstable(family),
     }
 
     comb = _find_combination(family, args)

@@ -200,11 +200,6 @@ class SwitchingSignal:
     def duration(self) -> int:
         return self._ends[-1] if self.runs else 0
 
-    @property
-    def switching_instants(self) -> tuple[int, ...]:
-        """Start times of each run (cumulative sums of the dwells)."""
-        return (0,) + self._ends[:-1] if self.runs else ()
-
     def index_at(self, t: int) -> int:
         """Active subsystem at time step t."""
         if not 0 <= t < self.duration:
@@ -223,10 +218,6 @@ class SwitchingSignal:
             writer.writerow(["t", "sigma"])
             for t, ell in enumerate(self.indices()):
                 writer.writerow([t, int(ell)])
-
-
-def signal_at(signal: SwitchingSignal, t: int) -> int:
-    return signal.index_at(t)
 
 
 def walk_to_signal(

@@ -37,18 +37,6 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def _check_same_shape(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-
-
-def mat_mul(a, b) -> np.ndarray:
-    """Matrix product A @ B for equal-dimension square matrices."""
-    a, b = as_matrix(a), as_matrix(b)
-    _check_same_shape(a, b)
-    return a @ b
-
-
 def mat_power(a, k: int) -> np.ndarray:
     """A**k by iterated left-multiplication; A**0 is the identity.
 
@@ -64,12 +52,8 @@ def mat_power(a, k: int) -> np.ndarray:
     return p
 
 
-def spectral_radius(a, tol: float = 1e-12) -> float:
-    """Maximum eigenvalue modulus of A.
-
-    `tol` is the requested relative accuracy; LAPACK's QR iteration
-    converges to machine precision, well inside any sensible tol.
-    """
+def spectral_radius(a) -> float:
+    """Maximum eigenvalue modulus of A (LAPACK's QR iteration)."""
     a = as_matrix(a)
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
@@ -102,5 +86,6 @@ def operator_norm(a) -> float:
 def commutator(a, b) -> np.ndarray:
     """AB - BA."""
     a, b = as_matrix(a), as_matrix(b)
-    _check_same_shape(a, b)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a

@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificate import RATE_SAFETY
 from .family import MatrixFamily
-from .graph import SwitchGraph, build_graph
+from .graph import build_graph
 from .linalg import commutator, mat_power, operator_norm
 from .search import StableCombination
 
@@ -24,7 +24,7 @@ DEFAULT_ENUM_CAP = 10_000_000
 
 
 class EnumerationCapExceeded(RuntimeError):
-    """The walk/product enumeration outgrew its cap; use a smaller instance."""
+    """The product enumeration would outgrow its cap; use a smaller instance."""
 
 
 @dataclass(frozen=True)
@@ -68,119 +68,156 @@ def exchange_identity_residual(family: MatrixFamily, comb) -> float:
     return worst
 
 
-def _vertex_expansion(comb: StableCombination, hub: int):
-    """Per-vertex subsystem step sequence (time order)."""
+@dataclass(frozen=True)
+class EnvelopeProfile:
+    """Every admissible product up to a horizon, summarised per duration.
 
-    def expansion(v: int) -> tuple[int, ...]:
-        if v == hub:
-            return (comb.tail,) * comb.tail_power + (comb.head,) * comb.head_power
-        return (v,)
-
-    return expansion
-
-
-def _walk_duration(walk, comb: StableCombination, hub: int) -> int:
-    return sum(comb.block_duration if v == hub else 1 for v in walk)
-
-
-def enumerate_walks(
-    graph: SwitchGraph,
-    comb: StableCombination,
-    max_duration: int,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> list[tuple[int, ...]]:
-    """Every nonempty walk whose expanded signal fits in `max_duration` steps.
-
-    All start vertices are considered; the output is in lexicographic
-    (depth-first, ascending successor) order.  Raises when more than `cap`
-    walks would be produced.
+    Index t runs over 0..horizon; t = 0 is the empty product (norm 1).
+    ``peaks[t]`` is the largest ||P|| over the products of t steps,
+    ``first_hits[t]`` the depth-first preorder index of the first product
+    that reaches it and ``walks[t]`` that product's vertex walk (its last
+    vertex may be a combination block cut short); ``counts[t]`` is the
+    number of products of t steps.  No rate enters the scan: exp(rate*t)
+    is the same for every product of t steps, so each rate is applied when
+    the profile is read.
     """
-    if max_duration < 0:
-        raise ValueError("max_duration must be nonnegative")
-    hub = graph.stable_vertex
-    out: list[tuple[int, ...]] = []
 
-    def weight(v: int) -> int:
-        return comb.block_duration if v == hub else 1
+    basis: int
+    block: int
+    peaks: tuple[float, ...]
+    first_hits: tuple[int, ...]
+    walks: tuple[tuple[int, ...], ...]
+    counts: tuple[int, ...]
 
-    def extend(prefix: tuple[int, ...], used: int) -> None:
-        last = prefix[-1]
-        for v in graph.out_neighbors(last):
-            w = used + weight(v)
-            if w <= max_duration:
-                record(prefix + (v,), w)
+    @property
+    def horizon(self) -> int:
+        return len(self.peaks) - 1
 
-    def record(walk: tuple[int, ...], used: int) -> None:
-        if len(out) >= cap:
-            raise EnumerationCapExceeded(
-                f"more than {cap} walks of duration <= {max_duration}"
-            )
-        out.append(walk)
-        extend(walk, used)
+    def bound_check(
+        self, rate: float, c: float = 1.0, horizon: int | None = None
+    ) -> BoundCheck:
+        """Largest ||product|| * exp(rate * t) / c over products of t <= horizon steps.
 
-    for v in graph.vertices:
-        if weight(v) <= max_duration:
-            record((v,), weight(v))
-    return out
+        The empty product contributes 1 / c.  Among products of equal value
+        the witness is the first one in preorder, where the empty product
+        comes first.
+        """
+        horizon = self.horizon if horizon is None else horizon
+        if not 0 <= horizon <= self.horizon:
+            raise ValueError(f"horizon {horizon} outside the profile's 0..{self.horizon}")
+        best, t_best = 1.0, 0
+        for t in range(1, horizon + 1):
+            value = self.peaks[t] * math.exp(rate * t)
+            if value > best or (
+                value == best and self.first_hits[t] < self.first_hits[t_best]
+            ):
+                best, t_best = value, t
+        return BoundCheck(
+            max_ratio=best / c,
+            witness_walk=self.walks[t_best],
+            witness_time=t_best,
+            products_checked=sum(self.counts[1 : horizon + 1]),
+        )
+
+    def sound_rate(self) -> float | None:
+        """The rate of `sound_certified_rate`, read from the windows of basis
+        to basis+block-1 steps; the profile must reach that far."""
+        windows = self.peaks[self.basis : self.basis + self.block]
+        if len(windows) < self.block:
+            raise ValueError(f"profile horizon {self.horizon} < {self.basis + self.block - 1}")
+        if max(windows) >= 1.0:
+            return None
+        rate = min(-math.log(norm) / t for t, norm in enumerate(windows, start=self.basis))
+        return rate * (1.0 - RATE_SAFETY)
 
 
-def _envelope_scan(
-    family: MatrixFamily,
-    comb: StableCombination,
-    rate: float,
-    horizon: int,
-    cap: int,
-) -> tuple[BoundCheck, list[float]]:
-    """Max of ||product|| * exp(rate * t) over every admissible product.
+def _unit_step_nodes(family: MatrixFamily, comb: StableCombination) -> list:
+    """The switch graph with every vertex split into one node per time step.
 
-    Walks are expanded step by step, so products that stop mid-way through
-    a combination block (which no whole-vertex walk represents) are
-    covered as well.  The empty product at t=0 contributes 1.  Also
-    returns the largest ||product|| at each duration t = 0..horizon.
+    A plain vertex is one node; the hub is a chain of block_duration nodes
+    (tail_power tail steps, then head_power head steps).  A node is
+    (subsystem matrix, the vertex it opens or None, successor nodes).  The
+    nodes that open a vertex come in ascending vertex order, so a
+    depth-first scan from them meets products in the order of their walks.
     """
     graph = build_graph(family.size)
     hub = graph.stable_vertex
-    expansion = _vertex_expansion(comb, hub)
-    mats = family.subsystems
-    best = 1.0
-    best_walk: tuple[int, ...] = ()
-    best_t = 0
-    steps = 0
-    peaks = [1.0] + [0.0] * horizon
+    hub_steps = (comb.tail,) * comb.tail_power + (comb.head,) * comb.head_power
+    nodes: list[tuple[np.ndarray, int | None, list[int]]] = []
+    first, last = {}, {}
+    for v in graph.vertices:
+        first[v] = len(nodes)
+        for j, ell in enumerate(hub_steps if v == hub else (v,)):
+            nodes.append((family.matrix(ell), None if j else v, [len(nodes) + 1]))
+        last[v] = len(nodes) - 1
+    for v in graph.vertices:
+        nodes[last[v]][2][:] = [first[u] for u in graph.out_neighbors(v)]
+    return nodes
 
-    def visit(p: np.ndarray, t: int, path: tuple[int, ...], last: int | None):
-        nonlocal best, best_walk, best_t, steps
-        successors = graph.vertices if last is None else graph.out_neighbors(last)
-        for v in successors:
-            pc, tc = p, t
-            cut = False
-            for ell in expansion(v):
-                steps += 1
-                if steps > cap:
-                    raise EnumerationCapExceeded(
-                        f"more than {cap} products up to horizon {horizon}"
-                    )
-                pc = mats[ell - 1] @ pc
-                tc += 1
-                norm = operator_norm(pc)
-                if norm > peaks[tc]:
-                    peaks[tc] = norm
-                value = norm * math.exp(rate * tc)
-                if value > best:
-                    best, best_walk, best_t = value, path + (v,), tc
-                if tc == horizon:
-                    cut = True
-                    break
-            if not cut:
-                visit(pc, tc, path + (v,), v)
+
+def _scan(nodes: list, dim: int, horizon: int):
+    """Largest ||product|| at each duration 0..horizon, with the preorder
+    index and the vertex walk of the first product reaching it."""
+    peaks = [1.0] + [0.0] * horizon
+    first_hits = [0] * (horizon + 1)
+    walks: list[tuple[int, ...]] = [()] * (horizon + 1)
+    index = 0
+
+    def visit(node: int, parent: np.ndarray, t: int, walk: tuple[int, ...]) -> None:
+        nonlocal index
+        index += 1
+        mat, opens, succ = nodes[node]
+        p = mat @ parent
+        if opens is not None:
+            walk += (opens,)
+        norm = operator_norm(p)
+        if norm > peaks[t]:
+            peaks[t], first_hits[t], walks[t] = norm, index, walk
+        if t < horizon:
+            for child in succ:
+                visit(child, p, t + 1, walk)
 
     if horizon > 0:
-        visit(np.eye(family.dim), 0, (), None)
-    check = BoundCheck(
-        max_ratio=best, witness_walk=best_walk, witness_time=best_t,
-        products_checked=steps,
+        for node, (_, opens, _) in enumerate(nodes):
+            if opens is not None:
+                visit(node, np.eye(dim), 1, ())
+    return peaks, first_hits, walks
+
+
+def envelope_profile(
+    family: MatrixFamily,
+    comb: StableCombination,
+    horizon: int,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> EnvelopeProfile:
+    """Scan every admissible product of 1..horizon steps once.
+
+    Products run over the unit-step graph, so the ones that stop mid-way
+    through a combination block (which no whole-vertex walk represents)
+    are covered as well.  The products of each duration are counted
+    first, and more than `cap` of them in total raise
+    EnumerationCapExceeded before any is multiplied.
+    """
+    nodes = _unit_step_nodes(family, comb)
+    counts, level = [1], [int(opens is not None) for _, opens, _ in nodes]
+    for _ in range(horizon):
+        counts.append(sum(level))
+        if sum(counts) - 1 > cap:
+            raise EnumerationCapExceeded(f"more than {cap} products up to horizon {horizon}")
+        nxt = [0] * len(nodes)
+        for (_, _, succ), n in zip(nodes, level):
+            for child in succ:
+                nxt[child] += n
+        level = nxt
+    peaks, first_hits, walks = _scan(nodes, family.dim, horizon)
+    return EnvelopeProfile(
+        basis=basis_length(family, comb),
+        block=comb.block_duration,
+        peaks=tuple(peaks),
+        first_hits=tuple(first_hits),
+        walks=tuple(walks),
+        counts=tuple(counts),
     )
-    return check, peaks
 
 
 def basis_length(family: MatrixFamily, comb: StableCombination) -> int:
@@ -205,8 +242,7 @@ def envelope_constant(
         raise ValueError("rate must be positive")
     if horizon is None:
         horizon = basis_length(family, comb)
-    scan, _ = _envelope_scan(family, comb, rate, horizon, cap)
-    return max(1.0, scan.max_ratio)
+    return envelope_profile(family, comb, horizon, cap).bound_check(rate).max_ratio
 
 
 def envelope_constant_bound(
@@ -245,13 +281,7 @@ def exhaustive_bound_check(
     """
     if c <= 0.0:
         raise ValueError("envelope constant must be positive")
-    scan, _ = _envelope_scan(family, comb, rate, horizon, cap)
-    return BoundCheck(
-        max_ratio=scan.max_ratio / c,
-        witness_walk=scan.witness_walk,
-        witness_time=scan.witness_time,
-        products_checked=scan.products_checked,
-    )
+    return envelope_profile(family, comb, horizon, cap).bound_check(rate, c)
 
 
 def sound_certified_rate(
@@ -277,14 +307,8 @@ def sound_certified_rate(
 
     Raises EnumerationCapExceeded when the windows outgrow `cap`.
     """
-    basis = basis_length(family, comb)
-    horizon = basis + comb.block_duration - 1
-    _, peaks = _envelope_scan(family, comb, 0.0, horizon, cap)
-    windows = peaks[basis:]
-    if max(windows) >= 1.0:
-        return None
-    rate = min(-math.log(norm) / t for t, norm in enumerate(windows, start=basis))
-    return rate * (1.0 - RATE_SAFETY)
+    horizon = basis_length(family, comb) + comb.block_duration - 1
+    return envelope_profile(family, comb, horizon, cap).sound_rate()
 
 
 def _evaluate_tokens(tokens, family, comb_matrix, comm) -> np.ndarray:
@@ -323,7 +347,7 @@ def decompose_product(
             raise ValueError(f"vertex {v} outside 1..{hub}")
     m = comb.contraction_power
     needed = basis_length(family, comb)
-    duration = _walk_duration(walk, comb, hub)
+    duration = sum(comb.block_duration if v == hub else 1 for v in walk)
     if duration != needed:
         raise ValueError(
             f"segment duration {duration} != required basis length {needed}"

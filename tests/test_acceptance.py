@@ -145,10 +145,19 @@ def test_criterion_2_sampled_envelope(capsys, population):
 # --- criterion 3: exhaustive envelope on small certified instances ------
 
 
-def _exhaustive_ratio(family, comb, rate, horizon):
-    c = sw.envelope_constant(family, comb, rate, cap=ENUM_CAP)
-    check = sw.exhaustive_bound_check(family, comb, rate, c, horizon, cap=ENUM_CAP)
-    return check.max_ratio
+def _criterion_3_ratios(family, comb, cert):
+    """Exhaustive envelope ratios to basis+6 at the paper's rate and at the
+    sound rate (None when there is none), read from one envelope scan."""
+    basis = sw.basis_length(family, comb)
+    horizon = max(basis + 6, basis + comb.block_duration - 1)
+    profile = sw.envelope_profile(family, comb, horizon, cap=ENUM_CAP)
+
+    def ratio(rate):
+        c = profile.bound_check(rate, horizon=basis).max_ratio
+        return profile.bound_check(rate, c, horizon=basis + 6).max_ratio
+
+    sound = profile.sound_rate()
+    return ratio(cert.rate), None if sound is None else ratio(sound)
 
 
 def test_criterion_3_exhaustive_envelope(capsys, certified_small):
@@ -156,16 +165,13 @@ def test_criterion_3_exhaustive_envelope(capsys, certified_small):
     worst = paper_worst = 0.0
     failures = paper_failures = 0
     for family, comb, cert in certified_small:
-        horizon = sw.basis_length(family, comb) + 6
         # The paper's rate, reported only: it over-claims on some instances.
-        ratio = _exhaustive_ratio(family, comb, cert.rate, horizon)
-        paper_worst = max(paper_worst, ratio)
-        paper_failures += ratio > 1.0
-        rate = sw.sound_certified_rate(family, comb, cap=ENUM_CAP)
-        if rate is None:
+        paper_ratio, ratio = _criterion_3_ratios(family, comb, cert)
+        paper_worst = max(paper_worst, paper_ratio)
+        paper_failures += paper_ratio > 1.0
+        if ratio is None:
             failures += 1
             continue
-        ratio = _exhaustive_ratio(family, comb, rate, horizon)
         worst = max(worst, ratio)
         failures += ratio > 1.0
     elapsed = time.perf_counter() - t0
@@ -179,6 +185,21 @@ def test_criterion_3_exhaustive_envelope(capsys, certified_small):
         f"{paper_failures} violated; {elapsed:.1f} s)",
         ok,
     )
+
+
+def test_criterion_3_scans_each_instance_once(certified_small, monkeypatch):
+    scans = []
+    scan = sw.oracle._scan
+
+    def counting_scan(nodes, dim, horizon):
+        scans.append(horizon)
+        return scan(nodes, dim, horizon)
+
+    monkeypatch.setattr(sw.oracle, "_scan", counting_scan)
+    for family, comb, cert in certified_small:
+        scans.clear()
+        _criterion_3_ratios(family, comb, cert)
+        assert len(scans) == 1
 
 
 # --- criterion 4: decomposition oracle -----------------------------------

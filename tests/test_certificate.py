@@ -12,7 +12,6 @@ from swstab import (
     compute_constants,
     max_certified_rate,
     rate_upper_limit,
-    sweep_contraction_power,
 )
 from swstab.certificate import RATE_SAFETY
 
@@ -118,13 +117,6 @@ def test_shear_certificate_infeasible(shear_family, shear_comb):
     cert = check_certificate(shear_family, shear_comb)
     assert not cert.feasible
     assert cert.rate == 0.0
-
-
-def test_sweep_contraction_power_never_worse(diag_family, diag_comb):
-    swept = sweep_contraction_power(diag_family, diag_comb, m_sweep_max=6)
-    ins0 = compute_constants(diag_family, diag_comb)
-    ins1 = compute_constants(diag_family, swept)
-    assert max_certified_rate(ins1) >= max_certified_rate(ins0) - 1e-12
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import swstab.oracle
 from swstab import MatrixFamily, write_instance
 from swstab.cli import (
     EXIT_BOUND_VIOLATED,
@@ -114,11 +115,31 @@ def test_simulate_writes_norm_files(diag_instance, tmp_path, capsys):
 
 
 def test_verify_passes_at_basis_length(diag_instance, capsys):
-    assert main(["verify", diag_instance, "--extra", "0"]) == EXIT_OK
-    out = capsys.readouterr().out
-    assert "exchange identity residual" in out
-    assert "max_ratio=1" in out
-    assert "FAIL" not in out
+    # Up to the basis the ratio is 1 by the definition of the constant, so
+    # the exhaustive check has nothing to check there and reports SKIP.
+    for extra in ("0", "-10"):
+        assert main(["verify", diag_instance, "--extra", extra]) == EXIT_OK
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert "exchange identity residual: 0 PASS" in lines
+        assert "envelope constant: 2.9999977980932822 (exhaustive, basis length 4)" in lines
+        checks = [line for line in lines if line.startswith("exhaustive envelope check")]
+        assert checks == ["exhaustive envelope check: SKIP (no lengths past the basis)"]
+        assert "FAIL" not in out
+
+
+def test_verify_scans_the_envelope_once(diag_instance, capsys, monkeypatch):
+    scans = []
+    scan = swstab.oracle._scan
+
+    def counting_scan(nodes, dim, horizon):
+        scans.append(horizon)
+        return scan(nodes, dim, horizon)
+
+    monkeypatch.setattr(swstab.oracle, "_scan", counting_scan)
+    assert main(["verify", diag_instance]) == EXIT_BOUND_VIOLATED
+    assert scans == [10]  # one scan, to basis 4 + extra 6
+    assert "max_ratio=2.9999933942846964 (191 products) FAIL" in capsys.readouterr().out
 
 
 def test_verify_detects_envelope_violation_past_basis(diag_instance, capsys):

@@ -7,7 +7,6 @@ from swstab import (
     build_graph,
     generate_walk,
     max_stable_gap,
-    signal_at,
     validate_walk,
     walk_to_signal,
 )
@@ -95,9 +94,6 @@ def test_signal_expansion(diag_comb):
     assert sig.runs == ((2, 1), (1, 1), (1, 1), (2, 1), (1, 1))
     assert sig.duration == 5
     assert list(sig.indices()) == [2, 1, 1, 2, 1]
-    assert sig.switching_instants == (0, 1, 2, 3, 4)
-    assert signal_at(sig, 0) == 2
-    assert signal_at(sig, 4) == 1
     with pytest.raises(ValueError):
         sig.index_at(5)
 

@@ -10,7 +10,6 @@ from swstab import (
     SCHUR_MARGIN,
     commutator,
     is_schur_stable,
-    mat_mul,
     mat_power,
     operator_norm,
     schur_class,
@@ -22,22 +21,6 @@ small_matrices = arrays(
     (3, 3),
     elements=st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
 )
-
-
-def test_mat_mul_matches_numpy():
-    a = np.array([[1.0, 2.0], [3.0, 4.0]])
-    b = np.array([[0.0, 1.0], [-1.0, 0.5]])
-    assert np.array_equal(mat_mul(a, b), a @ b)
-
-
-def test_mat_mul_rejects_shape_mismatch():
-    with pytest.raises(ValueError):
-        mat_mul(np.eye(2), np.eye(3))
-
-
-def test_mat_mul_rejects_non_square():
-    with pytest.raises(ValueError):
-        mat_mul(np.ones((2, 3)), np.ones((2, 3)))
 
 
 def test_mat_power_zero_is_identity():

@@ -1,21 +1,76 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
+import swstab.oracle
 from swstab import (
     EnumerationCapExceeded,
+    EnvelopeProfile,
     basis_length,
     build_graph,
+    check_certificate,
     decompose_product,
-    enumerate_walks,
     envelope_constant,
     envelope_constant_bound,
+    envelope_profile,
     exchange_identity_residual,
     exhaustive_bound_check,
+    find_stable_combination,
+    generate_random_instance,
     sound_certified_rate,
 )
+from swstab.certificate import RATE_SAFETY
 from swstab.linalg import operator_norm
+
+
+def _reference_profile(family, comb, horizon):
+    """Largest norm and number of products at each duration 1..horizon.
+
+    Brute force, independent of the oracle's scan: grow every admissible
+    vertex walk that fits the horizon, expand it to subsystem steps, and
+    take the prefix products that end inside its last vertex (shorter
+    prefixes belong to shorter walks).
+    """
+    graph = build_graph(family.size)
+    hub = graph.stable_vertex
+    block = (comb.tail,) * comb.tail_power + (comb.head,) * comb.head_power
+
+    def steps(walk):
+        return [ell for v in walk for ell in (block if v == hub else (v,))]
+
+    peaks = [0.0] * (horizon + 1)
+    counts = [0] * (horizon + 1)
+    walks = [(v,) for v in graph.vertices]
+    while walks:
+        for walk in walks:
+            seq = steps(walk)
+            start = len(steps(walk[:-1]))
+            prefixes = accumulate(
+                (family.matrix(ell) for ell in seq[:horizon]),
+                lambda p, a: a @ p,
+                initial=np.eye(family.dim),
+            )
+            for t, p in enumerate(prefixes):
+                if t > start:
+                    peaks[t] = max(peaks[t], np.linalg.norm(p, 2))
+                    counts[t] += 1
+        walks = [
+            walk + (v,)
+            for walk in walks
+            for v in graph.vertices
+            if (walk[-1], v) in graph.edges and len(steps(walk)) < horizon
+        ]
+    return peaks, counts
+
+
+def _reference_instances(diag_family, diag_comb, shear_family, shear_comb):
+    cases = [(diag_family, diag_comb), (shear_family, shear_comb)]
+    for seed, n in ((1088, 3), (1141, 2)):
+        family = generate_random_instance(n, 2, seed=seed)
+        cases.append((family, find_stable_combination(family)))
+    return cases
 
 
 def test_exchange_identity_residual_is_rounding_noise(diag_family, diag_comb):
@@ -27,17 +82,105 @@ def test_exchange_identity_accepts_plain_matrix(shear_family):
     assert exchange_identity_residual(shear_family, c) <= 1e-14
 
 
-def test_enumerate_walks_small_case(diag_comb):
-    g = build_graph(2)
-    # duration weights: plain vertices 1, hub 2; hand-enumerated for <= 2.
-    walks = enumerate_walks(g, diag_comb, max_duration=2)
-    assert walks == [(1,), (1, 2), (2,), (3,)]
+def test_envelope_profile_small_case(diag_family, diag_comb):
+    # Hand-enumerated to 2 steps; the hub (vertex 3) is A2 then A1.
+    # t=1: A1, A2, A2 (hub cut short); t=2: (1,2), (1,3 cut), (2,3 cut)
+    # and the whole hub block, in that preorder (indices 2, 3, 5, 7).
+    profile = envelope_profile(diag_family, diag_comb, horizon=2)
+    assert profile.counts == (1, 3, 4)
+    assert profile.peaks == pytest.approx((1.0, 1.2, 1.44), rel=1e-15)
+    assert profile.first_hits == (0, 1, 5)
+    assert profile.walks == ((), (1,), (2, 3))
 
 
-def test_enumerate_walks_cap(diag_comb):
-    g = build_graph(2)
+def test_envelope_profile_cap(diag_family, diag_comb, monkeypatch):
+    # The cap is checked on the counts before any product is multiplied.
+    norms = []
+    monkeypatch.setattr(swstab.oracle, "operator_norm", lambda a: norms.append(a))
     with pytest.raises(EnumerationCapExceeded):
-        enumerate_walks(g, diag_comb, max_duration=30, cap=100)
+        envelope_profile(diag_family, diag_comb, horizon=30, cap=100)
+    with pytest.raises(EnumerationCapExceeded):
+        envelope_profile(diag_family, diag_comb, horizon=10, cap=190)
+    assert norms == []
+
+
+def test_envelope_profile_cap_allows_exactly_cap_products(diag_family, diag_comb):
+    profile = envelope_profile(diag_family, diag_comb, horizon=10, cap=191)
+    assert sum(profile.counts[1:]) == 191
+
+
+def test_bound_check_breaks_ties_by_preorder():
+    # At rate 0 durations 1 and 2 tie; the product of duration 2 comes
+    # first in preorder, so it is the witness a first-hit scan reports.
+    profile = EnvelopeProfile(
+        basis=1, block=1, peaks=(1.0, 2.0, 2.0), first_hits=(0, 5, 3),
+        walks=((), (3,), (1, 2)), counts=(1, 3, 4),
+    )
+    check = profile.bound_check(0.0)
+    assert (check.max_ratio, check.witness_walk, check.witness_time) == (2.0, (1, 2), 2)
+    # A product that only ties the empty product's 1 is no witness.
+    flat = EnvelopeProfile(
+        basis=1, block=1, peaks=(1.0, 1.0), first_hits=(0, 1), walks=((), (1,)),
+        counts=(1, 3),
+    )
+    check = flat.bound_check(0.0)
+    assert (check.max_ratio, check.witness_walk, check.witness_time) == (1.0, (), 0)
+
+
+def test_envelope_profile_counts_what_it_scans(
+    diag_family, diag_comb, shear_family, shear_comb, monkeypatch
+):
+    norm_calls = []
+
+    def counting_norm(a):
+        norm_calls.append(1)
+        return operator_norm(a)
+
+    monkeypatch.setattr(swstab.oracle, "operator_norm", counting_norm)
+    for family, comb in _reference_instances(
+        diag_family, diag_comb, shear_family, shear_comb
+    ):
+        norm_calls.clear()
+        profile = envelope_profile(family, comb, basis_length(family, comb) + 6)
+        assert len(norm_calls) == sum(profile.counts[1:])
+
+
+def test_oracle_agrees_with_brute_force_reference(
+    diag_family, diag_comb, shear_family, shear_comb
+):
+    for family, comb in _reference_instances(
+        diag_family, diag_comb, shear_family, shear_comb
+    ):
+        basis = basis_length(family, comb)
+        horizon = basis + 6
+        peaks, counts = _reference_profile(family, comb, horizon)
+        assert envelope_profile(family, comb, horizon).counts[1:] == tuple(counts[1:])
+        for rate in (check_certificate(family, comb).rate, 0.05, 0.3):
+            if rate <= 0.0:
+                continue  # the shear pair certifies no rate
+            c = max(1.0, *(peaks[t] * math.exp(rate * t) for t in range(1, basis + 1)))
+            worst = max(peaks[t] * math.exp(rate * t) for t in range(1, horizon + 1))
+            assert envelope_constant(family, comb, rate) == pytest.approx(c, rel=1e-12)
+            check = exhaustive_bound_check(family, comb, rate, c, horizon)
+            assert check.max_ratio == pytest.approx(max(1.0, worst) / c, rel=1e-12)
+            assert check.products_checked == sum(counts)
+        windows = peaks[basis : basis + comb.block_duration]
+        sound = sound_certified_rate(family, comb)
+        if max(windows) >= 1.0:
+            assert sound is None
+        else:
+            expected = min(-math.log(w) / t for t, w in enumerate(windows, start=basis))
+            assert sound == pytest.approx(expected * (1 - RATE_SAFETY), rel=1e-12)
+
+
+def test_diagonal_pair_pinned_at_paper_rate(diag_family, diag_comb):
+    # Exact values of the scan this one replaced, at the paper's rate.
+    rate = check_certificate(diag_family, diag_comb).rate
+    c = envelope_constant(diag_family, diag_comb, rate)
+    check = exhaustive_bound_check(diag_family, diag_comb, rate, c, horizon=10)
+    assert c == 2.9999977980932822
+    assert check.max_ratio == 2.9999933942846964
+    assert check.products_checked == 191
 
 
 def test_basis_length(diag_family, diag_comb, shear_family, shear_comb):
