@@ -28,7 +28,7 @@ def main() -> None:
     ))
     comb = sw.find_stable_combination(family)
     inputs = sw.compute_constants(family, comb)
-    n, m = family.size, comb.contraction_power
+    m = comb.contraction_power
     print(f"combination A{comb.head}A{comb.tail} = {comb.product.tolist()}, "
           f"contraction power m={m}, rho={comb.contraction_norm:.6f}")
     print(f"max commutator norm: {inputs.max_commutator_norm}")
@@ -40,11 +40,7 @@ def main() -> None:
     # (one stabilizing block of 2 steps), vertices 1 and 2 are plain.
     segment = [1, 3, 2, 3, 1, 3, 2, 1, 2]
     dec = sw.decompose_product(family, comb, segment)
-    count_bound = n * m * (m + 1) // 2
-    norm_bound = (count_bound
-                  * inputs.max_subsystem_norm ** (m * n - 1)
-                  * inputs.combination_norm ** (m - 1)
-                  * inputs.max_commutator_norm)
+    count_bound, norm_bound = sw.correction_bounds(inputs)
     print(f"\n2. segment {segment} "
           f"(duration {sw.basis_length(family, comb)} steps)")
     print(f"   reconstruction residual: {dec.residual:.3e}")

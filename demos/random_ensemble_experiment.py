@@ -9,33 +9,19 @@ states.
 Run:  python demos/random_ensemble_experiment.py
 """
 
-import numpy as np
-
 import swstab as sw
-from swstab.oracle import EnumerationCapExceeded
 
 
 def stress_test(family, comb, cert, seed, trials=50, horizon=200):
-    """Number of trajectories violating the certified envelope."""
-    try:
-        c = sw.envelope_constant(family, comb, cert.rate, cap=2_000_000)
-    except EnumerationCapExceeded:
-        c = sw.envelope_constant_bound(family, comb, cert.rate)
+    """Number of trajectories violating the certified envelope, on the
+    schedule and trials `swstab experiment --seed SEED` runs."""
+    c, _, _ = sw.capped_envelope(family, comb, cert.rate, cap=2_000_000)
     graph = sw.build_graph(family.size)
-    gen = sw.WalkGenerator(graph, "uniform-random",
-                           seed=np.random.SeedSequence((seed, 0)))
-    walk, duration = [], 0
-    while duration < horizon:
-        v = gen.take(1)[0]
-        walk.append(v)
-        duration += comb.block_duration if v == graph.stable_vertex else 1
+    walk = sw.walk_for_horizon(graph, comb, "uniform-random", seed, horizon)
     signal = sw.walk_to_signal(graph, walk, comb)
     violations = 0
     for k in range(trials):
-        rng = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence((seed, 1 + k))))
-        x0 = rng.uniform(-1.0, 1.0, family.dim)
-        traj = sw.simulate(family, signal, x0, horizon)
+        traj = sw.simulate(family, signal, sw.trial_x0(seed, k, family.dim), horizon)
         check = sw.verify_ges(traj.norms / traj.norms[0], c, cert.rate)
         violations += not check.holds
     return violations, c

@@ -28,6 +28,7 @@ from .graph import (
     generate_walk,
     max_stable_gap,
     validate_walk,
+    walk_for_horizon,
     walk_to_signal,
 )
 from .instances import (
@@ -51,6 +52,8 @@ from .oracle import (
     EnvelopeProfile,
     ProductDecomposition,
     basis_length,
+    capped_envelope,
+    correction_bounds,
     decompose_product,
     envelope_constant,
     envelope_constant_bound,
@@ -73,6 +76,7 @@ from .simulate import (
     fit_decay,
     product_norms,
     simulate,
+    trial_x0,
     verify_ges,
 )
 

@@ -23,8 +23,8 @@ import math
 from dataclasses import dataclass
 
 from .family import MatrixFamily
-from .linalg import commutator, is_schur_stable, operator_norm
-from .search import StableCombination, compute_contraction
+from .linalg import commutator, operator_norm
+from .search import StableCombination
 
 # The certificate is issued slightly inside the supremum rate so both
 # inequalities stay strict under rounding.
@@ -197,14 +197,12 @@ def check_certificate(
         rate = 0.0 if best is None else best * (1.0 - RATE_SAFETY)
     elif rate <= 0.0:
         raise ValueError("decay rate must be positive")
-    lhs = _lhs_or_inf(inputs, rate)
+    # term1 is the contraction condition's left side, inf past the double range
+    term1, term2 = _lhs_terms(inputs, rate)
+    lhs = term1 + term2
     margin = 1.0 - lhs
     boundary = abs(lhs - 1.0) <= BOUNDARY_TOL
-    contraction_ok = (
-        inputs.contraction_norm
-        * math.exp(rate * inputs.contraction_power * inputs.block_duration)
-        < 1.0
-    )
+    contraction_ok = term1 < 1.0
     feasible = rate > 0.0 and (lhs <= 1.0 or boundary) and contraction_ok
     return Certificate(
         rate=rate,

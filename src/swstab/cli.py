@@ -3,12 +3,14 @@
 Subcommands: analyze, certify, signal, simulate, verify, experiment.
 
 Exit codes are exhaustive and mutually exclusive:
-  0  success (for certify/verify/experiment: certificate feasible and all
-     checks passed)
-  2  no Schur-stable combination found within the search bounds
-  3  certificate infeasible
-  4  a simulation or oracle bound was violated
-  5  I/O or instance-format failure
+  0   success (for certify/verify/experiment: certificate feasible and
+      every check that ran passed; a skipped check prints SKIP)
+  2   no Schur-stable combination found within the search bounds
+  3   certificate infeasible
+  4   a simulation or oracle bound was violated
+  5   I/O or instance-format failure
+  64  usage error: an unknown, malformed or out-of-range argument
+      (sysexits EX_USAGE; argparse's own 2 would collide with the above)
 """
 
 from __future__ import annotations
@@ -19,35 +21,28 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .certificate import (
-    certificate_lhs,
-    check_certificate,
-    compute_constants,
-    max_certified_rate,
-)
+from .certificate import check_certificate, compute_constants, max_certified_rate
 from .family import MatrixFamily
-from .graph import WalkGenerator, build_graph, walk_to_signal
+from .graph import POLICIES, build_graph, generate_walk, walk_for_horizon, walk_to_signal
 from .instances import InstanceParseError, generate_random_instance, parse_instance, write_instance
+from .linalg import operator_norm
 from .oracle import (
-    EnumerationCapExceeded,
     basis_length,
+    capped_envelope,
+    correction_bounds,
     decompose_product,
-    envelope_constant,
-    envelope_constant_bound,
-    envelope_profile,
     exchange_identity_residual,
 )
-from .search import assert_all_unstable, find_stable_combination
-from .simulate import fit_decay, simulate, verify_ges
+from .search import StableCombination, assert_all_unstable, find_stable_combination
+from .simulate import fit_decay, simulate, trial_x0, verify_ges
 
 EXIT_OK = 0
 EXIT_NO_COMBINATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_BOUND_VIOLATED = 4
 EXIT_IO = 5
+EXIT_USAGE = 64
 
 # Enumeration budget for the in-pipeline envelope constant; past this the
 # closed-form norm bound substitutes (still a valid envelope, just loose).
@@ -62,8 +57,17 @@ def _cert_line(cert) -> str:
     return f"CERT lhs={_fmt(cert.lhs_value)} lambda={_fmt(cert.rate)} feasible={int(cert.feasible)}"
 
 
+class _Exit(Exception):
+    """Ends a subcommand early: `main` prints the message to stderr and
+    returns the code."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 def _load_family(args) -> MatrixFamily:
-    if getattr(args, "instance", None):
+    if args.instance:
         return parse_instance(args.instance)
     return generate_random_instance(args.n, args.dim, args.seed)
 
@@ -74,14 +78,27 @@ def _find_combination(family, args):
     )
 
 
+def _load_and_search(args) -> tuple[MatrixFamily, StableCombination]:
+    """The instance and its stable combination; exits 2 when there is none.
+
+    A --partner outside 1..N (signal, simulate) is a usage error, which
+    only the loaded instance can tell.
+    """
+    family = _load_family(args)
+    partner = getattr(args, "partner", 1)
+    if not 1 <= partner <= family.size:
+        raise _Exit(
+            EXIT_USAGE,
+            f"swstab {args.command}: error: argument --partner: {partner} is outside 1..{family.size}",
+        )
+    comb = _find_combination(family, args)
+    if comb is None:
+        raise _Exit(EXIT_NO_COMBINATION, "no stable combination found within bounds")
+    return family, comb
+
+
 def _rate_arg(args) -> float | None:
-    if args.rate == "auto":
-        return None
-    try:
-        value = float(args.rate)
-    except ValueError:
-        raise SystemExit(f"--lambda must be 'auto' or a number, got {args.rate!r}")
-    return value
+    return None if args.rate == "auto" else float(args.rate)
 
 
 def _combination_dict(comb) -> dict:
@@ -116,11 +133,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    family = _load_family(args)
-    comb = _find_combination(family, args)
-    if comb is None:
-        print("no stable combination found within bounds", file=sys.stderr)
-        return EXIT_NO_COMBINATION
+    family, comb = _load_and_search(args)
     inputs = compute_constants(family, comb)
     cert = check_certificate(family, comb, _rate_arg(args))
     best = max_certified_rate(inputs)
@@ -135,74 +148,46 @@ def cmd_certify(args) -> int:
     return EXIT_OK if cert.feasible else EXIT_INFEASIBLE
 
 
-def _walk_for_horizon(graph, comb, policy, seed, horizon, partner=1):
-    gen = WalkGenerator(graph, policy, seed=seed, partner=partner)
-    walk, duration = [], 0
-    while duration < horizon:
-        v = gen.take(1)[0]
-        walk.append(v)
-        duration += comb.block_duration if v == graph.stable_vertex else 1
-    return walk
-
-
 def cmd_signal(args) -> int:
-    family = _load_family(args)
-    comb = _find_combination(family, args)
-    if comb is None:
-        print("no stable combination found within bounds", file=sys.stderr)
-        return EXIT_NO_COMBINATION
+    family, comb = _load_and_search(args)
     graph = build_graph(family.size, args.allow_stable_self_loop)
-    gen = WalkGenerator(graph, args.policy, seed=args.seed, partner=args.partner)
-    walk = gen.take(args.steps)
+    walk = generate_walk(graph, args.policy, args.steps, seed=args.seed, partner=args.partner)
     signal = walk_to_signal(graph, walk, comb)
     signal.write_csv(args.out)
     print(f"walk of {len(walk)} vertices -> signal of {signal.duration} steps -> {args.out}")
     return EXIT_OK
 
 
-def _seeded_x0(seed: int, trial: int, dim: int) -> np.ndarray:
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 1 + trial))))
-    return rng.uniform(-1.0, 1.0, size=dim)
+def _schedule_and_trials(family, comb, args, out: Path, partner: int = 1):
+    """The run's seeded schedule, written to `out` as signal.csv, and its
+    trials; returns the walk, the signal and an iterator that simulates
+    one trial at a time and writes its norms_XXX.csv."""
+    graph = build_graph(family.size, args.allow_stable_self_loop)
+    walk = walk_for_horizon(graph, comb, args.policy, args.seed, args.horizon, partner)
+    signal = walk_to_signal(graph, walk, comb)
+    out.mkdir(parents=True, exist_ok=True)
+    signal.write_csv(out / "signal.csv")
+
+    def trials():
+        for k in range(args.trials):
+            traj = simulate(family, signal, trial_x0(args.seed, k, family.dim), args.horizon)
+            traj.write_csv(out / f"norms_{k:03d}.csv")
+            yield traj
+
+    return walk, signal, trials()
 
 
 def cmd_simulate(args) -> int:
-    family = _load_family(args)
-    comb = _find_combination(family, args)
-    if comb is None:
-        print("no stable combination found within bounds", file=sys.stderr)
-        return EXIT_NO_COMBINATION
-    graph = build_graph(family.size, args.allow_stable_self_loop)
-    walk_seed = np.random.SeedSequence((args.seed, 0))
-    walk = _walk_for_horizon(graph, comb, args.policy, walk_seed, args.horizon, args.partner)
-    signal = walk_to_signal(graph, walk, comb)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    signal.write_csv(out / "signal.csv")
-    for k in range(args.trials):
-        x0 = _seeded_x0(args.seed, k, family.dim)
-        traj = simulate(family, signal, x0, args.horizon)
-        traj.write_csv(out / f"norms_{k:03d}.csv")
+    family, comb = _load_and_search(args)
+    _, _, trajectories = _schedule_and_trials(family, comb, args, Path(args.out), args.partner)
+    for k, traj in enumerate(trajectories):
         fit = fit_decay(traj.norms)
         print(f"trial {k}: fit amplitude={_fmt(fit.amplitude)} rate={_fmt(fit.rate)}")
     return EXIT_OK
 
 
-def _capped_profile(family, comb, horizon, basis):
-    """One envelope scan to `horizon`, else to the basis alone, else None."""
-    for h in (horizon, basis):
-        try:
-            return envelope_profile(family, comb, h, cap=PIPELINE_ENUM_CAP)
-        except EnumerationCapExceeded:
-            pass
-    return None
-
-
 def cmd_verify(args) -> int:
-    family = _load_family(args)
-    comb = _find_combination(family, args)
-    if comb is None:
-        print("no stable combination found within bounds", file=sys.stderr)
-        return EXIT_NO_COMBINATION
+    family, comb = _load_and_search(args)
     inputs = compute_constants(family, comb)
     cert = check_certificate(family, comb, _rate_arg(args))
     print(_cert_line(cert))
@@ -218,41 +203,26 @@ def cmd_verify(args) -> int:
 
     basis = basis_length(family, comb)
     horizon = basis + max(args.extra, 0)
-    profile = _capped_profile(family, comb, horizon, basis)
-    if profile is None:
-        c, method = envelope_constant_bound(family, comb, cert.rate), "norm-bound"
-    else:
-        c, method = profile.bound_check(cert.rate, horizon=basis).max_ratio, "exhaustive"
+    c, method, profile = capped_envelope(family, comb, cert.rate, horizon, cap=PIPELINE_ENUM_CAP)
     print(f"envelope constant: {_fmt(c)} ({method}, basis length {basis})")
-
-    if profile is not None:
-        if horizon == basis:
-            print("exhaustive envelope check: SKIP (no lengths past the basis)")
-        elif profile.horizon < horizon:
-            print("exhaustive envelope check: SKIP (enumeration cap)")
-        else:
-            check = profile.bound_check(cert.rate, c)
-            ok = check.max_ratio <= 1.0
-            failures += not ok
-            print(
-                f"exhaustive envelope check to length {horizon}: "
-                f"max_ratio={_fmt(check.max_ratio)} "
-                f"({check.products_checked} products) {'PASS' if ok else 'FAIL'}"
-            )
+    if horizon == basis:
+        print("exhaustive envelope check: SKIP (no lengths past the basis)")
+    elif profile is None or profile.horizon < horizon:
+        print("exhaustive envelope check: SKIP (enumeration cap)")
+    else:
+        check = profile.bound_check(cert.rate, c)
+        ok = check.max_ratio <= 1.0
+        failures += not ok
+        print(
+            f"exhaustive envelope check to length {horizon}: "
+            f"max_ratio={_fmt(check.max_ratio)} "
+            f"({check.products_checked} products) {'PASS' if ok else 'FAIL'}"
+        )
 
     n, hub = family.size, family.size + 1
     segment = (list(range(1, n + 1)) + [hub]) * comb.contraction_power
     dec = decompose_product(family, comb, segment)
-    m = comb.contraction_power
-    count_bound = n * m * (m + 1) // 2
-    from .linalg import operator_norm
-
-    norm_bound = (
-        count_bound
-        * inputs.max_subsystem_norm ** (m * n - 1)
-        * inputs.combination_norm ** (m - 1)
-        * inputs.max_commutator_norm
-    )
+    count_bound, norm_bound = correction_bounds(inputs)
     ok = (
         dec.residual <= 1e-10 * max(1.0, operator_norm(dec.total))
         and dec.term_count <= count_bound
@@ -270,7 +240,7 @@ def cmd_experiment(args) -> int:
     family = _load_family(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    if not getattr(args, "instance", None):
+    if not args.instance:
         write_instance(
             out / "instance.json", family, name="random", seed=args.seed
         )
@@ -321,20 +291,12 @@ def cmd_experiment(args) -> int:
 
     envelope = None
     if cert.feasible:
-        try:
-            envelope = envelope_constant(family, comb, cert.rate, cap=PIPELINE_ENUM_CAP)
-            cert_dict["envelope_method"] = "exhaustive"
-        except EnumerationCapExceeded:
-            envelope = envelope_constant_bound(family, comb, cert.rate)
-            cert_dict["envelope_method"] = "norm-bound"
+        envelope, method, _ = capped_envelope(family, comb, cert.rate, cap=PIPELINE_ENUM_CAP)
+        cert_dict["envelope_method"] = method
         cert_dict["envelope_constant"] = envelope if math.isfinite(envelope) else None
     report["certificate"] = cert_dict
 
-    graph = build_graph(family.size, args.allow_stable_self_loop)
-    walk_seed = np.random.SeedSequence((args.seed, 0))
-    walk = _walk_for_horizon(graph, comb, args.policy, walk_seed, args.horizon)
-    signal = walk_to_signal(graph, walk, comb)
-    signal.write_csv(out / "signal.csv")
+    walk, signal, trajectories = _schedule_and_trials(family, comb, args, out)
     report["signal"] = {
         "policy": args.policy,
         "walk_length": len(walk),
@@ -343,17 +305,14 @@ def cmd_experiment(args) -> int:
 
     trials = []
     violations = 0
-    for k in range(args.trials):
-        x0 = _seeded_x0(args.seed, k, family.dim)
-        traj = simulate(family, signal, x0, args.horizon)
-        traj.write_csv(out / f"norms_{k:03d}.csv")
+    for k, traj in enumerate(trajectories):
         fit = fit_decay(traj.norms)
         entry = {
             "trial": k,
             "fit_amplitude": fit.amplitude,
             "fit_rate": fit.rate,
         }
-        if cert.feasible and envelope is not None and math.isfinite(envelope):
+        if envelope is not None and math.isfinite(envelope):
             check = verify_ges(traj.norms / traj.norms[0], envelope, cert.rate)
             entry.update(
                 ges_holds=check.holds,
@@ -379,80 +338,94 @@ def _write_report(out: Path, report: dict) -> None:
         f.write("\n")
 
 
-def _add_search_flags(p):
-    p.add_argument("--pmax", type=int, default=10)
-    p.add_argument("--qmax", type=int, default=10)
-    p.add_argument("--mmax", type=int, default=512)
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error on one line and exits EXIT_USAGE."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_instance_arg(p, required=True):
-    p.add_argument("instance", nargs=None if required else "?", help="instance JSON file")
+def _at_least(low: int):
+    """An argparse type: an integer >= low."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _rate(text: str) -> str:
+    """An argparse type: 'auto' or a finite rate > 0, kept as typed (the
+    report records the flag as given)."""
+    try:
+        ok = text == "auto" or 0.0 < float(text) < math.inf
+    except ValueError:
+        ok = False
+    if not ok:
+        raise argparse.ArgumentTypeError(f"must be 'auto' or a finite rate > 0, got {text!r}")
+    return text
+
+
+# Every flag once; each subcommand below lists the ones it takes.
+_FLAGS = {
+    "instance": dict(help="instance JSON file"),
+    "--instance": dict(help="instance JSON file (else random)"),
+    "--n": dict(type=_at_least(2), default=10),
+    "--dim": dict(type=_at_least(2), default=2),
+    "--pmax": dict(type=_at_least(1), default=10),
+    "--qmax": dict(type=_at_least(1), default=10),
+    "--mmax": dict(type=_at_least(1), default=512),
+    "--lambda": dict(dest="rate", type=_rate, default="auto"),
+    "--steps": dict(type=_at_least(1), default=50, help="walk length in vertices"),
+    "--policy": dict(choices=POLICIES, default="uniform-random"),
+    "--seed": dict(type=_at_least(0), default=0),
+    "--partner": dict(type=_at_least(1), default=1),
+    "--horizon": dict(type=_at_least(1), default=200),
+    "--trials": dict(type=_at_least(0), default=100),
+    "--extra": dict(type=int, default=6, help="lengths past the basis to check"),
+    "--allow-stable-self-loop": dict(action="store_true"),
+    "--out": dict(required=True),
+}
+_SEARCH = ("--pmax", "--qmax", "--mmax")
+_SCHEDULE = ("--policy", "--seed", "--allow-stable-self-loop", "--out")
+_COMMANDS = {
+    "analyze": (cmd_analyze, "assumption checks and combination search", ("instance", *_SEARCH)),
+    "certify": (cmd_certify, "evaluate the stability certificate", ("instance", *_SEARCH, "--lambda")),
+    "signal": (
+        cmd_signal, "generate a switching-signal CSV",
+        ("instance", *_SEARCH, "--steps", "--partner", *_SCHEDULE),
+    ),
+    "simulate": (
+        cmd_simulate, "simulate seeded random trials",
+        ("instance", *_SEARCH, "--partner", "--horizon", "--trials", *_SCHEDULE),
+    ),
+    "verify": (cmd_verify, "proof-oracle checks on an instance", ("instance", *_SEARCH, "--lambda", "--extra")),
+    "experiment": (
+        cmd_experiment, "full pipeline with report and CSVs",
+        ("--instance", "--n", "--dim", *_SEARCH, "--lambda", "--horizon", "--trials", *_SCHEDULE),
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="swstab",
         description="Stabilizability certificates and switching signals for "
         "switched linear systems with all-unstable subsystems",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="assumption checks and combination search")
-    _add_instance_arg(p)
-    _add_search_flags(p)
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("certify", help="evaluate the stability certificate")
-    _add_instance_arg(p)
-    _add_search_flags(p)
-    p.add_argument("--lambda", dest="rate", default="auto")
-    p.set_defaults(func=cmd_certify)
-
-    p = sub.add_parser("signal", help="generate a switching-signal CSV")
-    _add_instance_arg(p)
-    _add_search_flags(p)
-    p.add_argument("--steps", type=int, default=50, help="walk length in vertices")
-    p.add_argument("--policy", default="uniform-random")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--partner", type=int, default=1)
-    p.add_argument("--allow-stable-self-loop", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_signal)
-
-    p = sub.add_parser("simulate", help="simulate seeded random trials")
-    _add_instance_arg(p)
-    _add_search_flags(p)
-    p.add_argument("--policy", default="uniform-random")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--partner", type=int, default=1)
-    p.add_argument("--horizon", type=int, default=200)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--allow-stable-self-loop", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("verify", help="proof-oracle checks on an instance")
-    _add_instance_arg(p)
-    _add_search_flags(p)
-    p.add_argument("--lambda", dest="rate", default="auto")
-    p.add_argument("--extra", type=int, default=6, help="lengths past the basis to check")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("experiment", help="full pipeline with report and CSVs")
-    p.add_argument("--instance", help="instance JSON file (else random)")
-    p.add_argument("--n", type=int, default=10)
-    p.add_argument("--dim", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0)
-    _add_search_flags(p)
-    p.add_argument("--lambda", dest="rate", default="auto")
-    p.add_argument("--policy", default="uniform-random")
-    p.add_argument("--horizon", type=int, default=200)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--allow-stable-self-loop", action="store_true")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_experiment)
-
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 
@@ -460,6 +433,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except _Exit as stop:
+        print(stop, file=sys.stderr)
+        return stop.code
     except (OSError, InstanceParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

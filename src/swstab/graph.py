@@ -62,9 +62,6 @@ class SwitchGraph:
             raise ValueError(f"vertex {v} outside 1..{self.stable_vertex}")
         return self._out[v]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self.edges
-
 
 def build_graph(n_subsystems: int, allow_stable_self_loop: bool = False) -> SwitchGraph:
     """The chain-plus-hub graph on N+1 vertices.
@@ -82,7 +79,7 @@ def validate_walk(graph: SwitchGraph, vertices: Sequence[int]) -> list[int]:
         if v not in graph.vertices:
             raise ValueError(f"vertex {v} outside 1..{graph.stable_vertex}")
     for u, v in zip(walk, walk[1:]):
-        if not graph.has_edge(u, v):
+        if (u, v) not in graph.edges:
             raise ValueError(f"({u}, {v}) is not an edge of the switch graph")
     return walk
 
@@ -91,8 +88,8 @@ class WalkGenerator:
     """Resumable walk generator for one policy.
 
     Policies:
-      * ``uniform-random`` -- the start vertex (unless given) and every
-        successor are drawn uniformly; randomness comes from numpy's PCG64
+      * ``uniform-random`` -- the start vertex and every successor are
+        drawn uniformly; randomness comes from numpy's PCG64
         so identical seeds reproduce identical walks anywhere.
       * ``round-robin`` -- always moves to the smallest out-neighbor,
         cycling through the subsystems in ascending order.
@@ -106,7 +103,6 @@ class WalkGenerator:
         graph: SwitchGraph,
         policy: str,
         seed: int | None = None,
-        start: int | None = None,
         partner: int = 1,
     ):
         if policy not in POLICIES:
@@ -119,14 +115,9 @@ class WalkGenerator:
         self.policy = policy
         self.partner = partner
         self._rng = np.random.Generator(np.random.PCG64(seed))
-        if start is not None and start not in graph.vertices:
-            raise ValueError(f"start vertex {start} outside the graph")
         self._last: int | None = None
-        self._start = start
 
     def _first_vertex(self) -> int:
-        if self._start is not None:
-            return self._start
         if self.policy == "uniform-random":
             return int(self._rng.integers(1, self.graph.stable_vertex + 1))
         if self.policy == "alternate-stable":
@@ -157,29 +148,41 @@ class WalkGenerator:
 
 def generate_walk(
     graph: SwitchGraph,
-    policy: str | Sequence[int],
+    policy: str,
     steps: int,
     seed: int | None = None,
     *,
-    start: int | None = None,
     partner: int = 1,
 ) -> list[int]:
-    """A walk of `steps` vertices under the given policy.
-
-    An explicit vertex sequence may be passed as the policy; it is
-    validated against the graph and returned as-is (`steps` must match its
-    length).
-    """
-    if not isinstance(policy, str):
-        walk = validate_walk(graph, policy)
-        if steps != len(walk):
-            raise ValueError(
-                f"explicit walk has {len(walk)} vertices, expected steps={steps}"
-            )
-        return walk
+    """A walk of `steps` vertices under the given policy."""
     if steps < 1:
         raise ValueError("steps must be at least 1")
-    return WalkGenerator(graph, policy, seed=seed, start=start, partner=partner).take(steps)
+    return WalkGenerator(graph, policy, seed=seed, partner=partner).take(steps)
+
+
+def walk_for_horizon(
+    graph: SwitchGraph,
+    comb: StableCombination,
+    policy: str,
+    seed: int,
+    horizon: int,
+    partner: int = 1,
+) -> list[int]:
+    """The seeded schedule of a run: vertices until the signal covers `horizon` steps.
+
+    The vertices come one at a time from a WalkGenerator seeded with
+    SeedSequence((seed, 0)); the trials of the same run draw their initial
+    states from (seed, 1 + k), see `swstab.simulate.trial_x0`.
+    """
+    gen = WalkGenerator(
+        graph, policy, seed=np.random.SeedSequence((seed, 0)), partner=partner
+    )
+    walk, duration = [], 0
+    while duration < horizon:
+        v = gen.take(1)[0]
+        walk.append(v)
+        duration += comb.block_duration if v == graph.stable_vertex else 1
+    return walk
 
 
 @dataclass(frozen=True)

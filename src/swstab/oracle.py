@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import RATE_SAFETY
+from .certificate import RATE_SAFETY, CertificateInputs
 from .family import MatrixFamily
 from .graph import build_graph
 from .linalg import commutator, mat_power, operator_norm
@@ -265,6 +265,31 @@ def envelope_constant_bound(
     return math.inf if log_c > 709.0 else max(1.0, math.exp(log_c))
 
 
+def capped_envelope(
+    family: MatrixFamily,
+    comb: StableCombination,
+    rate: float,
+    horizon: int | None = None,
+    cap: int = DEFAULT_ENUM_CAP,
+) -> tuple[float, str, EnvelopeProfile | None]:
+    """The envelope constant at `rate`, its method and the profile it was read from.
+
+    One scan to `horizon` (default and minimum: the basis length), or to
+    the basis alone when that outgrows `cap`, gives the exhaustive
+    constant over the basis.  When the basis outgrows `cap` too, the
+    constant is `envelope_constant_bound`, the method "norm-bound" and
+    the profile None.
+    """
+    basis = basis_length(family, comb)
+    for h in (basis,) if horizon in (None, basis) else (horizon, basis):
+        try:
+            profile = envelope_profile(family, comb, h, cap)
+        except EnumerationCapExceeded:
+            continue
+        return profile.bound_check(rate, horizon=basis).max_ratio, "exhaustive", profile
+    return envelope_constant_bound(family, comb, rate), "norm-bound", None
+
+
 def exhaustive_bound_check(
     family: MatrixFamily,
     comb: StableCombination,
@@ -309,6 +334,20 @@ def sound_certified_rate(
     """
     horizon = basis_length(family, comb) + comb.block_duration - 1
     return envelope_profile(family, comb, horizon, cap).sound_rate()
+
+
+def correction_bounds(inputs: CertificateInputs) -> tuple[int, float]:
+    """A-priori bounds on `decompose_product`'s correction: at most
+    N*m*(m+1)/2 terms, each of norm at most M1^(m*N-1) * M2^(m-1) * eps."""
+    n, m = inputs.n_subsystems, inputs.contraction_power
+    count = n * m * (m + 1) // 2
+    norm = (
+        count
+        * inputs.max_subsystem_norm ** (m * n - 1)
+        * inputs.combination_norm ** (m - 1)
+        * inputs.max_commutator_norm
+    )
+    return count, norm
 
 
 def _evaluate_tokens(tokens, family, comb_matrix, comm) -> np.ndarray:

@@ -27,23 +27,12 @@ class Trajectory:
     def horizon(self) -> int:
         return self.states.shape[0] - 1
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.states.shape[0])
-
-    def write_csv(self, path, include_states: bool = False) -> None:
-        d = self.states.shape[1]
+    def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
-            header = ["t", "norm"]
-            if include_states:
-                header += [f"x{k + 1}" for k in range(d)]
-            writer.writerow(header)
-            for t in range(self.states.shape[0]):
-                row = [t, f"{self.norms[t]:.17g}"]
-                if include_states:
-                    row += [f"{v:.17g}" for v in self.states[t]]
-                writer.writerow(row)
+            writer.writerow(["t", "norm"])
+            for t, norm in enumerate(self.norms):
+                writer.writerow([t, f"{norm:.17g}"])
 
 
 @dataclass(frozen=True)
@@ -59,6 +48,14 @@ class GesCheck:
     holds: bool
     worst_margin: float
     worst_t: int
+
+
+def trial_x0(seed: int, trial: int, dim: int) -> np.ndarray:
+    """Initial state of trial k of a run: uniform on [-1, 1]^dim, drawn from
+    SeedSequence((seed, 1 + k)); stream 0 is the run's schedule
+    (`swstab.graph.walk_for_horizon`)."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 1 + trial))))
+    return rng.uniform(-1.0, 1.0, size=dim)
 
 
 def _check_horizon(signal: SwitchingSignal, horizon: int) -> None:

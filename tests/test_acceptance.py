@@ -26,26 +26,17 @@ import numpy as np
 import pytest
 
 import swstab as sw
-from swstab.certificate import RATE_SAFETY
-from swstab.oracle import EnumerationCapExceeded
+from swstab.cli import PIPELINE_ENUM_CAP
 
 # --- shared population: 200 seeded random instances --------------------
 
 POPULATION_SEEDS = [(1000 + idx, [2, 3, 10][idx % 3]) for idx in range(200)]
-ENUM_CAP = 2_000_000
 
 
 def _verdict(capsys, num, desc, ok):
     with capsys.disabled():
         print(f"\n[criterion {num}] {'PASS' if ok else 'FAIL'}: {desc}")
     return ok
-
-
-def _envelope(family, comb, rate):
-    try:
-        return sw.envelope_constant(family, comb, rate, cap=ENUM_CAP)
-    except EnumerationCapExceeded:
-        return sw.envelope_constant_bound(family, comb, rate)
 
 
 @pytest.fixture(scope="module")
@@ -112,23 +103,13 @@ def test_criterion_2_sampled_envelope(capsys, population):
         if comb is None or not cert.feasible:
             continue
         feasible += 1
-        c = _envelope(family, comb, cert.rate)
+        # the stages of `swstab experiment` at its defaults
+        c, _, _ = sw.capped_envelope(family, comb, cert.rate, cap=PIPELINE_ENUM_CAP)
         graph = sw.build_graph(family.size)
-        gen = sw.WalkGenerator(
-            graph, "uniform-random", seed=np.random.SeedSequence((seed, 0))
-        )
-        walk, duration = [], 0
-        while duration < 200:
-            v = gen.take(1)[0]
-            walk.append(v)
-            duration += comb.block_duration if v == graph.stable_vertex else 1
+        walk = sw.walk_for_horizon(graph, comb, "uniform-random", seed, 200)
         signal = sw.walk_to_signal(graph, walk, comb)
         for k in range(100):
-            rng = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence((seed, 1 + k)))
-            )
-            x0 = rng.uniform(-1.0, 1.0, family.dim)
-            traj = sw.simulate(family, signal, x0, 200)
+            traj = sw.simulate(family, signal, sw.trial_x0(seed, k, family.dim), 200)
             check = sw.verify_ges(traj.norms / traj.norms[0], c, cert.rate)
             violations += not check.holds
     elapsed = time.perf_counter() - t0
@@ -150,7 +131,7 @@ def _criterion_3_ratios(family, comb, cert):
     sound rate (None when there is none), read from one envelope scan."""
     basis = sw.basis_length(family, comb)
     horizon = max(basis + 6, basis + comb.block_duration - 1)
-    profile = sw.envelope_profile(family, comb, horizon, cap=ENUM_CAP)
+    profile = sw.envelope_profile(family, comb, horizon, cap=PIPELINE_ENUM_CAP)
 
     def ratio(rate):
         c = profile.bound_check(rate, horizon=basis).max_ratio
@@ -235,18 +216,12 @@ def test_criterion_4_decomposition(capsys, population, diag_family, diag_comb):
     per_case = -(-100 // len(cases))  # ceil: at least 100 segments total
     checked = failures = 0
     for family, comb in cases:
-        inputs = sw.compute_constants(family, comb)
-        n, m = family.size, comb.contraction_power
-        count_bound = n * m * (m + 1) // 2
-        norm_bound = (
-            count_bound
-            * inputs.max_subsystem_norm ** (m * n - 1)
-            * inputs.combination_norm ** (m - 1)
-            * inputs.max_commutator_norm
-        )
+        count_bound, norm_bound = sw.correction_bounds(sw.compute_constants(family, comb))
         basis = sw.basis_length(family, comb)
         for _ in range(per_case):
-            seg = _random_segment(rng, n, comb.block_duration, basis, m)
+            seg = _random_segment(
+                rng, family.size, comb.block_duration, basis, comb.contraction_power
+            )
             dec = sw.decompose_product(family, comb, seg)
             good = (
                 dec.residual <= 1e-10 * sw.operator_norm(dec.total)

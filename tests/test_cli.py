@@ -2,7 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import swstab.cli
 import swstab.oracle
 from swstab import MatrixFamily, write_instance
 from swstab.cli import (
@@ -11,8 +14,17 @@ from swstab.cli import (
     EXIT_IO,
     EXIT_NO_COMBINATION,
     EXIT_OK,
+    EXIT_USAGE,
     main,
 )
+
+
+def _exit_code(argv) -> int:
+    """The exit status the shell sees: argparse ends a usage error with SystemExit."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 @pytest.fixture
@@ -62,9 +74,12 @@ def test_certify_auto_rate(diag_instance, capsys):
     assert "feasible=1" in out
 
 
-def test_certify_infeasible(shear_instance, capsys):
+def test_certify_infeasible(shear_instance, diag_instance, capsys):
     assert main(["certify", shear_instance]) == EXIT_INFEASIBLE
     assert "feasible=0" in capsys.readouterr().out
+    # a rate whose exponentials leave the double range is infeasible, not a crash
+    assert main(["certify", diag_instance, "--lambda", "1e3"]) == EXIT_INFEASIBLE
+    assert "CERT lhs=inf lambda=1000 feasible=0" in capsys.readouterr().out
 
 
 def test_certify_rejects_bad_rate(diag_instance):
@@ -208,3 +223,110 @@ def test_experiment_random_instance_written(tmp_path, capsys):
     data = json.loads((out / "instance.json").read_text())
     assert data["seed"] == 1141
     assert data["dim"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["experiment", "--dim", "1"],
+        ["experiment", "--n", "1"],
+        ["experiment", "--horizon", "0"],
+        ["experiment", "--horizon", "-3"],
+        ["experiment", "--policy", "bogus"],
+        ["experiment", "--lambda", "-1"],
+        ["experiment", "--lambda", "abc"],
+        ["experiment", "--lambda", "nan"],
+        ["experiment", "--pmax", "0"],
+        ["experiment", "--seed", "-1"],
+        ["simulate", "DIAG", "--partner", "5"],
+        ["signal", "DIAG", "--steps", "0"],
+    ],
+    ids=" ".join,
+)
+def test_usage_errors_exit_64_with_one_line(argv, diag_instance, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [diag_instance if a == "DIAG" else a for a in argv] + ["--out", str(out)]
+    assert _exit_code(argv) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert "error:" in captured.err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cap, method, constant, experiment_code",
+    [(10, "norm-bound", 8.999986788564545, EXIT_OK), (100, "exhaustive", 2.9999977980932822, 4)],
+)
+def test_enumeration_cap_fallbacks(
+    cap, method, constant, experiment_code, diag_instance, tmp_path, capsys, monkeypatch
+):
+    # cap 10: not even the basis (20 products) fits, so the norm bound
+    # stands in; cap 100: the basis fits but basis+6 (191) does not.
+    # Either way the exhaustive check is skipped, which exit 0 allows.
+    monkeypatch.setattr(swstab.cli, "PIPELINE_ENUM_CAP", cap)
+    assert main(["verify", diag_instance]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert f"envelope constant: {constant:.17g} ({method}, basis length 4)" in lines
+    checks = [line for line in lines if line.startswith("exhaustive envelope check")]
+    assert checks == ["exhaustive envelope check: SKIP (enumeration cap)"]
+    out = tmp_path / "exp"
+    argv = ["experiment", "--instance", diag_instance, "--trials", "2", "--horizon", "30"]
+    assert main([*argv, "--out", str(out)]) == experiment_code
+    certificate = json.loads((out / "report.json").read_text())["certificate"]
+    assert certificate["envelope_method"] == method
+    assert certificate["envelope_constant"] == constant
+
+
+_FUZZ_INTS = st.integers(-2, 12).map(str)
+_FUZZ_VALUES = {
+    "--n": _FUZZ_INTS,
+    "--dim": _FUZZ_INTS,
+    "--pmax": _FUZZ_INTS,
+    "--mmax": _FUZZ_INTS,
+    "--lambda": st.sampled_from(["auto", "0.15", "0", "-1", "nan", "inf", "1e3", "abc", "1e-300"]),
+    "--steps": st.integers(-2, 40).map(str),
+    "--policy": st.sampled_from(["uniform-random", "round-robin", "alternate-stable", "bogus"]),
+    "--seed": _FUZZ_INTS,
+    "--partner": _FUZZ_INTS,
+    "--horizon": st.integers(-2, 60).map(str),
+    "--trials": st.integers(-1, 3).map(str),
+    "--extra": st.integers(-3, 8).map(str),
+}
+_FUZZ_TAKES = {
+    "analyze": ("--pmax", "--mmax"),
+    "certify": ("--pmax", "--lambda"),
+    "signal": ("--steps", "--policy", "--seed", "--partner"),
+    "simulate": ("--policy", "--seed", "--partner", "--horizon", "--trials"),
+    "verify": ("--mmax", "--lambda", "--extra"),
+    "experiment": ("--n", "--dim", "--seed", "--lambda", "--policy", "--horizon", "--trials"),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory, diag_family):
+    path = tmp_path_factory.mktemp("fuzz")
+    write_instance(path / "diag.json", diag_family, name="diagonal-pair")
+    return path
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(sorted(_FUZZ_TAKES)).flatmap(
+        lambda command: st.tuples(
+            st.just(command),
+            st.fixed_dictionaries(
+                {}, optional={flag: _FUZZ_VALUES[flag] for flag in _FUZZ_TAKES[command]}
+            ),
+        )
+    )
+)
+def test_cli_fuzz_ends_in_a_documented_exit_code(fuzz_dir, case):
+    # Any exception other than SystemExit would be a traceback.
+    command, flags = case
+    instance = str(fuzz_dir / "diag.json")
+    argv = [command] + (["--instance", instance] if command == "experiment" else [instance])
+    argv += [item for flag, value in flags.items() for item in (flag, value)]
+    if command in ("signal", "simulate", "experiment"):
+        argv += ["--out", str(fuzz_dir / command)]
+    assert _exit_code(argv) in {0, 2, 3, 4, 5, 64}

@@ -1,13 +1,15 @@
-import numpy as np
 import pytest
 
 from swstab import (
     SwitchingSignal,
     WalkGenerator,
     build_graph,
+    find_stable_combination,
+    generate_random_instance,
     generate_walk,
     max_stable_gap,
     validate_walk,
+    walk_for_horizon,
     walk_to_signal,
 )
 
@@ -79,15 +81,6 @@ def test_generator_is_resumable():
     assert gen.take(8) + gen.take(12) == whole
 
 
-def test_explicit_walk_as_policy():
-    g = build_graph(2)
-    assert generate_walk(g, [1, 3, 2, 3], 4) == [1, 3, 2, 3]
-    with pytest.raises(ValueError):
-        generate_walk(g, [1, 3, 2], 4)  # length mismatch
-    with pytest.raises(ValueError):
-        generate_walk(g, [2, 1], 2)  # not an edge
-
-
 def test_signal_expansion(diag_comb):
     g = build_graph(2)
     sig = walk_to_signal(g, [3, 1, 3], diag_comb)
@@ -120,3 +113,36 @@ def test_max_stable_gap():
     assert max_stable_gap(g, [1, 2, 3, 4, 1, 4]) == 3
     assert max_stable_gap(g, [4, 4, 4]) == 0
     assert max_stable_gap(g, [1, 2, 3]) == 3
+
+
+# The schedules `swstab simulate`/`experiment` and criterion 2 run, pinned
+# per (policy, seed) at horizon 16; any change of the walk stream shows here.
+SCHEDULE_GOLDEN = {
+    "diagonal": {
+        ("uniform-random", 0): [3, 2, 3, 2, 3, 1, 2, 3, 1, 2, 3],
+        ("uniform-random", 7): [3, 2, 3, 2, 3, 2, 3, 2, 3, 2, 3],
+        ("round-robin", 0): [1, 2, 3] * 4,
+        ("round-robin", 7): [1, 2, 3] * 4,
+        ("alternate-stable", 0): [3, 1] * 5 + [3],
+        ("alternate-stable", 7): [3, 1] * 5 + [3],
+    },
+    "seed-1088": {
+        ("uniform-random", 0): [4, 2, 4, 1, 2, 3, 4, 1, 2, 3, 4, 3],
+        ("uniform-random", 7): [4, 2, 4, 3, 4, 2, 4, 3, 4, 1, 2],
+        ("round-robin", 0): [1, 2, 3, 4] * 3 + [1],
+        ("round-robin", 7): [1, 2, 3, 4] * 3 + [1],
+        ("alternate-stable", 0): [4, 1] * 5 + [4],
+        ("alternate-stable", 7): [4, 1] * 5 + [4],
+    },
+}
+
+
+@pytest.mark.parametrize("name", SCHEDULE_GOLDEN)
+def test_walk_for_horizon_golden(name, diag_family):
+    family = diag_family if name == "diagonal" else generate_random_instance(3, 2, 1088)
+    comb = find_stable_combination(family)
+    graph = build_graph(family.size)
+    for (policy, seed), walk in SCHEDULE_GOLDEN[name].items():
+        assert walk_for_horizon(graph, comb, policy, seed, 16) == walk
+        assert walk_to_signal(graph, walk, comb).duration >= 16
+        assert walk_to_signal(graph, walk[:-1], comb).duration < 16

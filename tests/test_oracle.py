@@ -11,6 +11,8 @@ from swstab import (
     basis_length,
     build_graph,
     check_certificate,
+    compute_constants,
+    correction_bounds,
     decompose_product,
     envelope_constant,
     envelope_constant_bound,
@@ -263,12 +265,13 @@ def test_decomposition_commuting_family(diag_family, diag_comb):
 
 
 def test_decomposition_noncommuting_family(shear_family, shear_comb):
-    m = shear_comb.contraction_power
-    n = shear_family.size
+    count_bound, norm_bound = correction_bounds(compute_constants(shear_family, shear_comb))
+    assert count_bound == 12  # N * m * (m + 1) / 2 with N = 2, m = 3
     for segment in ([3, 3, 3, 1, 2, 1, 2, 1, 2], [1, 3, 2, 3, 1, 3, 2, 1, 2]):
         dec = decompose_product(shear_family, shear_comb, segment)
         assert dec.residual <= 1e-10 * max(1.0, operator_norm(dec.total))
-        assert dec.term_count <= n * m * (m + 1) // 2
+        assert dec.term_count <= count_bound
+        assert operator_norm(dec.correction) <= norm_bound + 1e-9
         assert np.allclose(dec.main_term + dec.correction, dec.total, atol=1e-10)
     assert decompose_product(shear_family, shear_comb, [3, 3, 3, 1, 2, 1, 2, 1, 2]).starts_stable
 

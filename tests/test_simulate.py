@@ -8,6 +8,7 @@ from swstab import (
     fit_decay,
     product_norms,
     simulate,
+    trial_x0,
     verify_ges,
     walk_to_signal,
 )
@@ -88,3 +89,9 @@ def test_periodic_stable_walk_decays(diag_family, diag_comb):
     traj = simulate(diag_family, sig, [1.0, 1.0], 60)
     fit = fit_decay(traj.norms)
     assert fit.rate == pytest.approx(-math.log(0.48) / 2.0, abs=1e-6)
+
+
+def test_trial_x0_golden():
+    # the initial states of trials 0 and 1 of `swstab experiment --seed 7`
+    assert trial_x0(7, 0, 2).tolist() == [0.5402819020069483, -0.7761455113646314]
+    assert trial_x0(7, 1, 2).tolist() == [-0.444059435612838, -0.10969375206490195]
