@@ -62,7 +62,7 @@ def main() -> None:
     # 0.4 * 1.2 * 1.2 = 0.576 every three steps on the second coordinate:
     # a true decay rate of -ln(0.576)/3 ~ 0.184, half the certified rate.
     period = sw.walk_to_signal(graph, [2, 3], comb)
-    three_step = sw.SwitchingSignal(period.runs * 40)
+    three_step = sw.SwitchingSignal(period.steps * 40)
     traj = sw.simulate(family, three_step, [0.0, 1.0], three_step.duration)
     fit = sw.fit_decay(traj.norms)
     print(f"\nadversarial schedule (2 then block, repeated): fitted rate "

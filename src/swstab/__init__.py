@@ -11,6 +11,7 @@ exhaustive envelope checks).
 __version__ = "0.1.0"
 
 from .certificate import (
+    AssumptionError,
     Certificate,
     CertificateInputs,
     certificate_lhs,
@@ -43,7 +44,6 @@ from .linalg import (
     is_schur_stable,
     mat_power,
     operator_norm,
-    schur_class,
     spectral_radius,
 )
 from .oracle import (

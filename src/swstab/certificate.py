@@ -30,10 +30,17 @@ from .search import StableCombination
 # inequalities stay strict under rounding.
 RATE_SAFETY = 1e-6
 
+# Absolute tolerance of the bisection for the supremum certified rate.
+BISECTION_TOL = 1e-10
+
 # |LHS - 1| within this window is reported as feasible-at-the-boundary.
 BOUNDARY_TOL = 1e-12
 
 _LOG_DBL_MAX = 709.0  # log(DBL_MAX) rounded down
+
+
+class AssumptionError(ValueError):
+    """The family breaks the all-unstable assumption the certificate rests on."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +60,9 @@ class CertificateInputs:
         if self.max_subsystem_norm < 1.0:
             # every subsystem is unstable, so its norm is at least its
             # spectral radius, which is at least 1
-            raise ValueError("max subsystem norm below 1 contradicts instability")
+            raise AssumptionError(
+                "every subsystem norm is below 1: the all-unstable assumption fails"
+            )
         if self.combination_norm <= 0.0 or self.max_commutator_norm < 0.0:
             raise ValueError("norms must be positive / nonnegative")
         if not 0.0 < self.contraction_norm < 1.0:
@@ -135,11 +144,6 @@ def certificate_lhs(inputs: CertificateInputs, rate: float) -> float:
     return term1 + term2
 
 
-def _lhs_or_inf(inputs: CertificateInputs, rate: float) -> float:
-    term1, term2 = _lhs_terms(inputs, rate)
-    return term1 + term2
-
-
 def rate_upper_limit(inputs: CertificateInputs) -> float:
     """Largest rate allowed by the contraction condition alone.
 
@@ -150,27 +154,23 @@ def rate_upper_limit(inputs: CertificateInputs) -> float:
     return -math.log(inputs.contraction_norm) / (m * inputs.block_duration)
 
 
-def max_certified_rate(
-    inputs: CertificateInputs, tol: float = 1e-10
-) -> float | None:
+def max_certified_rate(inputs: CertificateInputs) -> float | None:
     """Supremum of decay rates satisfying the full certificate, or None.
 
     None means infeasible: the inequality already fails at rate 0.  With a
     zero commutator bound the supremum is the contraction limit in closed
     form; otherwise it is found by bisection (the left-hand side is
-    strictly increasing in the rate) to absolute tolerance `tol`.
+    strictly increasing in the rate) to absolute tolerance BISECTION_TOL.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    if _lhs_or_inf(inputs, 0.0) > 1.0:
+    if sum(_lhs_terms(inputs, 0.0)) > 1.0:
         return None
     limit = rate_upper_limit(inputs)
     if inputs.max_commutator_norm == 0.0:
         return limit
     lo, hi = 0.0, limit
-    while hi - lo > tol:
+    while hi - lo > BISECTION_TOL:
         mid = 0.5 * (lo + hi)
-        if _lhs_or_inf(inputs, mid) <= 1.0:
+        if sum(_lhs_terms(inputs, mid)) <= 1.0:
             lo = mid
         else:
             hi = mid

@@ -6,7 +6,8 @@ Exit codes are exhaustive and mutually exclusive:
   0   success (for certify/verify/experiment: certificate feasible and
       every check that ran passed; a skipped check prints SKIP)
   2   no Schur-stable combination found within the search bounds
-  3   certificate infeasible
+  3   certificate infeasible, or inapplicable because every subsystem
+      norm is below 1 (the all-unstable assumption fails)
   4   a simulation or oracle bound was violated
   5   I/O or instance-format failure
   64  usage error: an unknown, malformed or out-of-range argument
@@ -22,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .certificate import check_certificate, compute_constants, max_certified_rate
+from .certificate import AssumptionError, check_certificate, compute_constants, max_certified_rate
 from .family import MatrixFamily
 from .graph import POLICIES, build_graph, generate_walk, walk_for_horizon, walk_to_signal
 from .instances import InstanceParseError, generate_random_instance, parse_instance, write_instance
@@ -272,7 +273,11 @@ def cmd_experiment(args) -> int:
         return EXIT_NO_COMBINATION
     report["combination"] = _combination_dict(comb)
 
-    inputs = compute_constants(family, comb)
+    try:
+        inputs = compute_constants(family, comb)
+    except AssumptionError:
+        _write_report(out, report)
+        raise
     report["constants"] = {
         "max_subsystem_norm": inputs.max_subsystem_norm,
         "combination_norm": inputs.combination_norm,
@@ -436,6 +441,9 @@ def main(argv=None) -> int:
     except _Exit as stop:
         print(stop, file=sys.stderr)
         return stop.code
+    except AssumptionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INFEASIBLE
     except (OSError, InstanceParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

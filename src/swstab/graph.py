@@ -4,16 +4,14 @@ Vertices 1..N stand for the plain subsystems and vertex N+1 for the stable
 two-subsystem combination.  Edges run along the ascending chain (l, l+1),
 from every plain vertex into the hub, and from the hub back to every plain
 vertex.  Any infinite walk on this graph expands into a switching signal:
-a plain vertex dwells one step, the hub dwells tail_power steps on the
-tail subsystem and then head_power steps on the head subsystem.
+a plain vertex dwells one step, the hub runs the combination block
+`StableCombination.steps`.
 """
 
 from __future__ import annotations
 
 import csv
-from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -187,62 +185,35 @@ def walk_for_horizon(
 
 @dataclass(frozen=True)
 class SwitchingSignal:
-    """A run-length switching schedule: (subsystem index, dwell) pairs."""
+    """A switching schedule: the subsystem index active at each time step."""
 
-    runs: tuple[tuple[int, int], ...]
-
-    def __post_init__(self):
-        for ell, dur in self.runs:
-            if dur < 1:
-                raise ValueError(f"run ({ell}, {dur}) has non-positive duration")
-        object.__setattr__(
-            self, "_ends", tuple(accumulate(d for _, d in self.runs))
-        )
+    steps: tuple[int, ...]
 
     @property
     def duration(self) -> int:
-        return self._ends[-1] if self.runs else 0
-
-    def index_at(self, t: int) -> int:
-        """Active subsystem at time step t."""
-        if not 0 <= t < self.duration:
-            raise ValueError(f"time {t} outside 0..{self.duration - 1}")
-        return self.runs[bisect_right(self._ends, t)][0]
-
-    def indices(self) -> np.ndarray:
-        """The expanded per-step index sequence, length `duration`."""
-        return np.repeat(
-            [ell for ell, _ in self.runs], [d for _, d in self.runs]
-        ).astype(int)
+        return len(self.steps)
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as f:
             writer = csv.writer(f)
             writer.writerow(["t", "sigma"])
-            for t, ell in enumerate(self.indices()):
-                writer.writerow([t, int(ell)])
+            writer.writerows(enumerate(self.steps))
 
 
 def walk_to_signal(
     graph: SwitchGraph, walk: Iterable[int], comb: StableCombination
 ) -> SwitchingSignal:
-    """Expand walk vertices into runs.
-
-    A plain vertex contributes one run of one step; the hub contributes
-    the tail subsystem for tail_power steps and then the head subsystem
-    for head_power steps.  Consecutive equal runs are kept separate so the
-    expansion stays invertible.
-    """
-    runs: list[tuple[int, int]] = []
+    """Expand walk vertices into steps: a plain vertex runs its own
+    subsystem for one step, the hub runs the combination block `comb.steps`."""
+    steps: list[int] = []
     for v in walk:
         if v == graph.stable_vertex:
-            runs.append((comb.tail, comb.tail_power))
-            runs.append((comb.head, comb.head_power))
+            steps += comb.steps
         elif v in graph.vertices:
-            runs.append((int(v), 1))
+            steps.append(int(v))
         else:
             raise ValueError(f"vertex {v} outside 1..{graph.stable_vertex}")
-    return SwitchingSignal(tuple(runs))
+    return SwitchingSignal(tuple(steps))
 
 
 def max_stable_gap(graph: SwitchGraph, walk: Sequence[int]) -> int:

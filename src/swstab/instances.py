@@ -21,7 +21,7 @@ import math
 import numpy as np
 
 from .family import MatrixFamily
-from .linalg import SCHUR_MARGIN, spectral_radius
+from .linalg import is_schur_stable
 
 logger = logging.getLogger(__name__)
 
@@ -42,7 +42,7 @@ def parse_instance(path) -> MatrixFamily:
     if not isinstance(data, dict) or "dim" not in data or "matrices" not in data:
         raise InstanceParseError(f"{path}: expected keys 'dim' and 'matrices'")
     dim = data["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if not isinstance(dim, int) or isinstance(dim, bool) or dim < 1:
         raise InstanceParseError(f"{path}: 'dim' must be a positive integer")
     raw = data["matrices"]
     if not isinstance(raw, list) or len(raw) < 2:
@@ -82,13 +82,7 @@ def write_instance(path, family: MatrixFamily, name=None, seed=None) -> None:
         f.write("\n")
 
 
-def generate_random_instance(
-    n_subsystems: int,
-    dim: int,
-    seed: int,
-    tol: float = SCHUR_MARGIN,
-    max_resamples: int = MAX_RESAMPLES,
-) -> MatrixFamily:
+def generate_random_instance(n_subsystems: int, dim: int, seed: int) -> MatrixFamily:
     """Family of matrices with entries uniform on [-1, 1], all unstable.
 
     Each matrix is resampled until its spectral radius reaches 1 (within
@@ -101,15 +95,15 @@ def generate_random_instance(
     mats = []
     attempts_total = 0
     for _ in range(n_subsystems):
-        for attempt in range(1, max_resamples + 1):
+        for attempt in range(1, MAX_RESAMPLES + 1):
             a = rng.uniform(-1.0, 1.0, size=(dim, dim))
-            if spectral_radius(a) >= 1.0 - tol:
+            if not is_schur_stable(a):
                 mats.append(a)
                 attempts_total += attempt
                 break
         else:
             raise RuntimeError(
-                f"no unstable matrix found in {max_resamples} draws (dim={dim})"
+                f"no unstable matrix found in {MAX_RESAMPLES} draws (dim={dim})"
             )
     logger.debug(
         "instance seed=%s: %d matrices accepted out of %d draws (rate %.3f)",

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-# Spectral radii within this margin of 1 are classified "marginal" and are
-# never certified as Schur stable.
+# Spectral radii within this margin below 1 are never certified as Schur
+# stable.
 SCHUR_MARGIN = 1e-9
 
 
@@ -58,23 +58,13 @@ def spectral_radius(a) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-def schur_class(a, tol: float = SCHUR_MARGIN) -> str:
-    """Classify A as 'stable', 'marginal', or 'unstable' w.r.t. the unit disk."""
-    r = spectral_radius(a)
-    if r < 1.0 - tol:
-        return "stable"
-    if r <= 1.0 + tol:
-        return "marginal"
-    return "unstable"
-
-
 def is_schur_stable(a, tol: float = SCHUR_MARGIN) -> bool:
-    """True iff the spectral radius is below 1 with a strict margin.
+    """True iff the spectral radius is below 1 - tol.
 
     Marginal matrices (radius within tol of 1) are treated as not stable,
     so no certificate ever rests on rounding noise.
     """
-    return schur_class(a, tol) == "stable"
+    return spectral_radius(a) < 1.0 - tol
 
 
 def operator_norm(a) -> float:

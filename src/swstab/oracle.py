@@ -16,7 +16,7 @@ import numpy as np
 
 from .certificate import RATE_SAFETY, CertificateInputs
 from .family import MatrixFamily
-from .graph import build_graph
+from .graph import build_graph, walk_to_signal
 from .linalg import commutator, mat_power, operator_norm
 from .search import StableCombination
 
@@ -134,20 +134,18 @@ class EnvelopeProfile:
 def _unit_step_nodes(family: MatrixFamily, comb: StableCombination) -> list:
     """The switch graph with every vertex split into one node per time step.
 
-    A plain vertex is one node; the hub is a chain of block_duration nodes
-    (tail_power tail steps, then head_power head steps).  A node is
-    (subsystem matrix, the vertex it opens or None, successor nodes).  The
-    nodes that open a vertex come in ascending vertex order, so a
-    depth-first scan from them meets products in the order of their walks.
+    A plain vertex is one node; the hub is a chain of one node per step of
+    `comb.steps`.  A node is (subsystem matrix, the vertex it opens or
+    None, successor nodes).  The nodes that open a vertex come in ascending
+    vertex order, so a depth-first scan from them meets products in the
+    order of their walks.
     """
     graph = build_graph(family.size)
-    hub = graph.stable_vertex
-    hub_steps = (comb.tail,) * comb.tail_power + (comb.head,) * comb.head_power
     nodes: list[tuple[np.ndarray, int | None, list[int]]] = []
     first, last = {}, {}
     for v in graph.vertices:
         first[v] = len(nodes)
-        for j, ell in enumerate(hub_steps if v == hub else (v,)):
+        for j, ell in enumerate(comb.steps if v == graph.stable_vertex else (v,)):
             nodes.append((family.matrix(ell), None if j else v, [len(nodes) + 1]))
         last[v] = len(nodes) - 1
     for v in graph.vertices:
@@ -378,15 +376,12 @@ def decompose_product(
     correction term (sign -1, one commutator factor, one combination block
     fewer).  The pieces are then evaluated numerically.
     """
-    graph = build_graph(family.size, allow_stable_self_loop=True)
+    graph = build_graph(family.size)
     hub = graph.stable_vertex
     walk = [int(v) for v in walk_segment]
-    for v in walk:
-        if v not in graph.vertices:
-            raise ValueError(f"vertex {v} outside 1..{hub}")
     m = comb.contraction_power
     needed = basis_length(family, comb)
-    duration = sum(comb.block_duration if v == hub else 1 for v in walk)
+    duration = walk_to_signal(graph, walk, comb).duration
     if duration != needed:
         raise ValueError(
             f"segment duration {duration} != required basis length {needed}"

@@ -12,13 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .family import MatrixFamily
-from .linalg import (
-    SCHUR_MARGIN,
-    is_schur_stable,
-    mat_power,
-    operator_norm,
-    spectral_radius,
-)
+from .linalg import is_schur_stable, mat_power, operator_norm
 
 
 class ContractionError(RuntimeError):
@@ -30,9 +24,9 @@ class StableCombination:
     """A Schur-stable product of two unstable subsystems.
 
     product = A_head^head_power @ A_tail^tail_power.  When the combination
-    is scheduled, the tail subsystem runs first (tail_power steps) and the
-    head subsystem second, so the accumulated product over those steps is
-    exactly `product`.
+    is scheduled it runs `steps`: the tail subsystem first (tail_power
+    steps) and the head subsystem second, so the accumulated product over
+    those steps is exactly `product`.
     """
 
     head: int
@@ -55,34 +49,37 @@ class StableCombination:
         object.__setattr__(self, "product", p)
 
     @property
+    def steps(self) -> tuple[int, ...]:
+        """The subsystem run at each step of one scheduled combination block."""
+        return (self.tail,) * self.tail_power + (self.head,) * self.head_power
+
+    @property
     def block_duration(self) -> int:
         """Time steps one scheduled instance of the combination occupies."""
         return self.head_power + self.tail_power
 
 
-def assert_all_unstable(family: MatrixFamily, tol: float = SCHUR_MARGIN) -> list[int]:
+def assert_all_unstable(family: MatrixFamily) -> list[int]:
     """Return the 1-based indices of subsystems that are Schur stable.
 
     An empty list means the all-unstable assumption holds.  Marginal
-    matrices (spectral radius within tol of 1) count as unstable.
+    matrices count as unstable (see `is_schur_stable`).
     """
     return [
         ell
         for ell, a in enumerate(family.subsystems, start=1)
-        if spectral_radius(a) < 1.0 - tol
+        if is_schur_stable(a)
     ]
 
 
-def compute_contraction(
-    combo: np.ndarray, m_max: int = 512, tol: float = SCHUR_MARGIN
-) -> tuple[int, float]:
+def compute_contraction(combo: np.ndarray, m_max: int = 512) -> tuple[int, float]:
     """Smallest power m in [1, m_max] with ||combo^m|| < 1, and that norm.
 
     Raises ValueError for a non-Schur-stable input and ContractionError if
     m_max is exhausted (possible for highly non-normal products; raise the
     cap in that case).
     """
-    if not is_schur_stable(combo, tol):
+    if not is_schur_stable(combo):
         raise ValueError("precondition violated: matrix is not Schur stable")
     p = np.eye(combo.shape[0])
     for m in range(1, m_max + 1):
@@ -106,7 +103,6 @@ def find_stable_combination(
     family: MatrixFamily,
     p_max: int = 10,
     q_max: int = 10,
-    tol: float = SCHUR_MARGIN,
     m_max: int = 512,
 ) -> StableCombination | None:
     """First Schur-stable product A_i^p A_j^q in a fixed deterministic order.
@@ -117,7 +113,9 @@ def find_stable_combination(
     Pairs with i == j are skipped: powers of an unstable matrix have
     spectral radius >= 1 and are never Schur stable.  Stable hits whose
     power norms never contract within m_max (spectral radius barely under
-    1) are skipped as unusable.
+    1) are skipped as unusable, and so are nilpotent hits whose first
+    contracting power is exactly zero: the certificate takes the
+    logarithm of its norm.
 
     Returns None when the bounded grid is exhausted.
     """
@@ -139,13 +137,15 @@ def find_stable_combination(
                 if i == j:
                     continue
                 candidate = power(i, p) @ power(j, q)
-                if is_schur_stable(candidate, tol):
+                if is_schur_stable(candidate):
                     try:
-                        m, rho = compute_contraction(candidate, m_max, tol)
+                        m, rho = compute_contraction(candidate, m_max)
                     except ContractionError:
                         # spectral radius barely under 1: norms of its powers
                         # never drop below 1 within the cap; an unusable hit,
                         # keep scanning
+                        continue
+                    if rho == 0.0:
                         continue
                     return StableCombination(
                         head=i,

@@ -83,8 +83,8 @@ def simulate(
     _check_horizon(signal, horizon)
     states = np.empty((horizon + 1, family.dim))
     states[0] = x
-    for t in range(horizon):
-        x = family.matrix(signal.index_at(t)) @ x
+    for t, ell in enumerate(signal.steps[:horizon]):
+        x = family.matrix(ell) @ x
         states[t + 1] = x
     norms = np.linalg.norm(states, axis=1)
     return Trajectory(states=states, norms=norms)
@@ -104,8 +104,8 @@ def product_norms(
     p = np.eye(family.dim)
     out = np.empty(horizon + 1)
     out[0] = 1.0
-    for t in range(horizon):
-        p = family.matrix(signal.index_at(t)) @ p
+    for t, ell in enumerate(signal.steps[:horizon]):
+        p = family.matrix(ell) @ p
         out[t + 1] = operator_norm(p)
     return out
 

@@ -330,3 +330,53 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(fuzz_dir, case):
     if command in ("signal", "simulate", "experiment"):
         argv += ["--out", str(fuzz_dir / command)]
     assert _exit_code(argv) in {0, 2, 3, 4, 5, 64}
+
+
+_ENTRIES = st.sampled_from([-2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2])
+_INSTANCES = st.integers(1, 3).flatmap(
+    lambda dim: st.lists(
+        st.lists(st.lists(_ENTRIES, min_size=dim, max_size=dim), min_size=dim, max_size=dim),
+        min_size=2,
+        max_size=3,
+    ).map(lambda matrices: {"dim": dim, "matrices": matrices})
+)
+
+
+def _run_instance(directory, instance, command):
+    path = directory / "instance.json"
+    path.write_text(json.dumps(instance))
+    if command == "experiment":
+        argv = [command, "--instance", str(path), "--out", str(directory / "exp")]
+        argv += ["--trials", "2", "--horizon", "40"]
+    else:
+        argv = [command, str(path)]
+    return _exit_code(argv + ["--pmax", "3", "--qmax", "3", "--mmax", "64"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_INSTANCES, st.sampled_from(["analyze", "certify", "verify", "experiment"]))
+def test_instance_fuzz_ends_in_a_documented_exit_code(fuzz_dir, instance, command):
+    # Small instances with round entries hit the degenerate cases: stable
+    # subsystems, nilpotent products, exact zeros.
+    assert _run_instance(fuzz_dir, instance, command) in {0, 2, 3, 4, 5, 64}
+
+
+@pytest.mark.parametrize("command", ["analyze", "certify", "verify", "experiment"])
+def test_nilpotent_combination_is_skipped(command, tmp_path, capsys):
+    # diag(2, 0) @ diag(0, 2) = 0 is Schur stable, but its contraction norm
+    # is 0 and the certificate takes its logarithm; no other candidate exists.
+    instance = {"dim": 2, "matrices": [[[2, 0], [0, 0]], [[0, 0], [0, 2]]]}
+    assert _run_instance(tmp_path, instance, command) == EXIT_NO_COMBINATION
+
+
+@pytest.mark.parametrize("command", ["certify", "verify", "experiment"])
+def test_all_stable_family_exits_3_with_one_line(command, tmp_path, capsys):
+    instance = {"dim": 1, "matrices": [[[-0.5]], [[-0.5]]]}
+    assert _run_instance(tmp_path, instance, command) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: every subsystem norm is below 1: the all-unstable assumption fails\n"
+    if command == "experiment":
+        report = json.loads((tmp_path / "exp" / "report.json").read_text())
+        assert report["assumption_violations"] == [1, 2]
+        assert report["combination"]["contraction_norm"] == 0.25

@@ -1,7 +1,6 @@
 import pytest
 
 from swstab import (
-    SwitchingSignal,
     WalkGenerator,
     build_graph,
     find_stable_combination,
@@ -84,16 +83,10 @@ def test_generator_is_resumable():
 def test_signal_expansion(diag_comb):
     g = build_graph(2)
     sig = walk_to_signal(g, [3, 1, 3], diag_comb)
-    assert sig.runs == ((2, 1), (1, 1), (1, 1), (2, 1), (1, 1))
+    assert sig.steps == (2, 1, 1, 2, 1)
     assert sig.duration == 5
-    assert list(sig.indices()) == [2, 1, 1, 2, 1]
-    with pytest.raises(ValueError):
-        sig.index_at(5)
-
-
-def test_signal_rejects_empty_runs():
-    with pytest.raises(ValueError):
-        SwitchingSignal(((1, 0),))
+    with pytest.raises(ValueError, match="vertex 4"):
+        walk_to_signal(g, [3, 4], diag_comb)
 
 
 def test_signal_csv_roundtrip(tmp_path, diag_comb):
@@ -105,7 +98,7 @@ def test_signal_csv_roundtrip(tmp_path, diag_comb):
     assert lines[0] == "t,sigma"
     assert len(lines) == sig.duration + 1
     parsed = [int(line.split(",")[1]) for line in lines[1:]]
-    assert parsed == list(sig.indices())
+    assert parsed == list(sig.steps)
 
 
 def test_max_stable_gap():

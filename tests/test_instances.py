@@ -41,8 +41,9 @@ def test_parse_rejects_missing_keys(tmp_path):
 
 
 def test_parse_rejects_bad_dim(tmp_path):
-    with pytest.raises(InstanceParseError, match="'dim'"):
-        parse_instance(_write(tmp_path, {"dim": 0, "matrices": []}))
+    for dim in (0, True):
+        with pytest.raises(InstanceParseError, match="'dim' must be a positive integer"):
+            parse_instance(_write(tmp_path, {"dim": dim, "matrices": []}))
 
 
 def test_parse_rejects_single_matrix(tmp_path):

@@ -12,7 +12,6 @@ from swstab import (
     is_schur_stable,
     mat_power,
     operator_norm,
-    schur_class,
     spectral_radius,
 )
 
@@ -53,16 +52,14 @@ def test_spectral_radius_rotation_is_one():
     assert spectral_radius(r) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_schur_class_boundaries():
-    assert schur_class(np.diag([0.5, 0.1])) == "stable"
-    assert schur_class(np.diag([1.0, 0.1])) == "marginal"
-    assert schur_class(np.diag([1.0 - 1e-12, 0.1])) == "marginal"
-    assert schur_class(np.diag([1.5, 0.1])) == "unstable"
-
-
 def test_is_schur_stable_respects_margin():
+    assert is_schur_stable(np.diag([0.5, 0.1]))
     assert is_schur_stable(np.diag([1.0 - 2 * SCHUR_MARGIN, 0.0]))
+    # marginal (within the margin of 1) and unstable radii are not stable
     assert not is_schur_stable(np.diag([1.0 - SCHUR_MARGIN / 2, 0.0]))
+    assert not is_schur_stable(np.diag([1.0 - 1e-12, 0.1]))
+    assert not is_schur_stable(np.diag([1.0, 0.1]))
+    assert not is_schur_stable(np.diag([1.5, 0.1]))
 
 
 def test_operator_norm_known_values():

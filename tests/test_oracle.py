@@ -21,7 +21,9 @@ from swstab import (
     exhaustive_bound_check,
     find_stable_combination,
     generate_random_instance,
+    product_norms,
     sound_certified_rate,
+    walk_to_signal,
 )
 from swstab.certificate import RATE_SAFETY
 from swstab.linalg import operator_norm
@@ -173,6 +175,21 @@ def test_oracle_agrees_with_brute_force_reference(
         else:
             expected = min(-math.log(w) / t for t, w in enumerate(windows, start=basis))
             assert sound == pytest.approx(expected * (1 - RATE_SAFETY), rel=1e-12)
+
+
+def test_signal_and_oracle_agree_on_the_step_order(
+    diag_family, diag_comb, shear_family, shear_comb
+):
+    # The witness walk of each peak, run as a schedule, reproduces the peak
+    # bit for bit only when both expand the hub into the same steps.
+    for family, comb in _reference_instances(
+        diag_family, diag_comb, shear_family, shear_comb
+    ):
+        graph = build_graph(family.size)
+        profile = envelope_profile(family, comb, basis_length(family, comb) + 6)
+        for t, walk in enumerate(profile.walks):
+            signal = walk_to_signal(graph, walk, comb)
+            assert product_norms(family, signal, t)[t] == profile.peaks[t]
 
 
 def test_diagonal_pair_pinned_at_paper_rate(diag_family, diag_comb):

@@ -25,7 +25,7 @@ def test_simulate_matches_manual_recursion(diag_family, diag_comb):
     traj = simulate(diag_family, sig, x0, sig.duration)
     x = x0.copy()
     for t in range(sig.duration):
-        x = diag_family.matrix(sig.index_at(t)) @ x
+        x = diag_family.matrix(sig.steps[t]) @ x
         assert np.array_equal(traj.states[t + 1], x)
     assert traj.horizon == sig.duration
     assert traj.norms[0] == pytest.approx(np.linalg.norm(x0))
@@ -85,7 +85,7 @@ def test_fit_decay_drops_underflowed_entries():
 
 def test_periodic_stable_walk_decays(diag_family, diag_comb):
     # hub-only schedule contracts by rho per block
-    sig = SwitchingSignal(((2, 1), (1, 1)) * 30)
+    sig = SwitchingSignal(diag_comb.steps * 30)
     traj = simulate(diag_family, sig, [1.0, 1.0], 60)
     fit = fit_decay(traj.norms)
     assert fit.rate == pytest.approx(-math.log(0.48) / 2.0, abs=1e-6)
