@@ -52,14 +52,21 @@ def test_spectral_radius_rotation_is_one():
     assert spectral_radius(r) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_is_schur_stable_respects_margin():
+def test_schur_class_boundaries():
+    # stable
     assert is_schur_stable(np.diag([0.5, 0.1]))
-    assert is_schur_stable(np.diag([1.0 - 2 * SCHUR_MARGIN, 0.0]))
-    # marginal (within the margin of 1) and unstable radii are not stable
-    assert not is_schur_stable(np.diag([1.0 - SCHUR_MARGIN / 2, 0.0]))
-    assert not is_schur_stable(np.diag([1.0 - 1e-12, 0.1]))
-    assert not is_schur_stable(np.diag([1.0, 0.1]))
+    # marginal: radius within the margin of 1, never certified as stable
+    for a in (np.diag([1.0, 0.1]), np.diag([1.0 - 1e-12, 0.1])):
+        assert not is_schur_stable(a)
+        assert abs(spectral_radius(a) - 1.0) <= SCHUR_MARGIN
+    # unstable
     assert not is_schur_stable(np.diag([1.5, 0.1]))
+    assert spectral_radius(np.diag([1.5, 0.1])) > 1.0 + SCHUR_MARGIN
+
+
+def test_is_schur_stable_respects_margin():
+    assert is_schur_stable(np.diag([1.0 - 2 * SCHUR_MARGIN, 0.0]))
+    assert not is_schur_stable(np.diag([1.0 - SCHUR_MARGIN / 2, 0.0]))
 
 
 def test_operator_norm_known_values():
