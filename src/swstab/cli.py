@@ -178,12 +178,24 @@ def _schedule_and_trials(family, comb, args, out: Path, partner: int = 1):
     return walk, signal, trials()
 
 
+def _fit(norms):
+    """The trial's decay fit, or None when it is undefined: fewer than two
+    norms are positive (the state is exactly 0 from step 1 on)."""
+    try:
+        return fit_decay(norms)
+    except ValueError:
+        return None
+
+
 def cmd_simulate(args) -> int:
     family, comb = _load_and_search(args)
     _, _, trajectories = _schedule_and_trials(family, comb, args, Path(args.out), args.partner)
     for k, traj in enumerate(trajectories):
-        fit = fit_decay(traj.norms)
-        print(f"trial {k}: fit amplitude={_fmt(fit.amplitude)} rate={_fmt(fit.rate)}")
+        fit = _fit(traj.norms)
+        if fit is None:
+            print(f"trial {k}: fit undefined (fewer than two positive norms)")
+        else:
+            print(f"trial {k}: fit amplitude={_fmt(fit.amplitude)} rate={_fmt(fit.rate)}")
     return EXIT_OK
 
 
@@ -311,11 +323,11 @@ def cmd_experiment(args) -> int:
     trials = []
     violations = 0
     for k, traj in enumerate(trajectories):
-        fit = fit_decay(traj.norms)
+        fit = _fit(traj.norms)
         entry = {
             "trial": k,
-            "fit_amplitude": fit.amplitude,
-            "fit_rate": fit.rate,
+            "fit_amplitude": None if fit is None else fit.amplitude,
+            "fit_rate": None if fit is None else fit.rate,
         }
         if envelope is not None and math.isfinite(envelope):
             check = verify_ges(traj.norms / traj.norms[0], envelope, cert.rate)

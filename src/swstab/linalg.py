@@ -73,6 +73,13 @@ def operator_norm(a) -> float:
     return float(np.linalg.svd(a, compute_uv=False)[0])
 
 
+def operator_norms(stack) -> np.ndarray:
+    """`operator_norm` of every matrix of a (k, d, d) stack, in one batched SVD."""
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix entries must be finite")
+    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+
+
 def commutator(a, b) -> np.ndarray:
     """AB - BA."""
     a, b = as_matrix(a), as_matrix(b)

@@ -4,7 +4,10 @@ Everything here re-derives, by direct enumeration or direct matrix
 arithmetic, the objects the certificate takes on faith: the exchange
 identity behind the commutator bookkeeping, the rewriting of an admissible
 product into (left part) * combination^m + correction, and the exponential
-envelope over every admissible product up to a horizon.
+envelope over every admissible product up to a horizon.  The envelope
+comes from one batched scan of the time-expanded switch graph: one
+broadcast matmul per edge and one batched SVD per batch of products,
+in slices of SLICE products, so its memory stays bounded.
 """
 
 from __future__ import annotations
@@ -17,10 +20,13 @@ import numpy as np
 from .certificate import RATE_SAFETY, CertificateInputs
 from .family import MatrixFamily
 from .graph import build_graph, walk_to_signal
-from .linalg import commutator, mat_power, operator_norm
+from .linalg import commutator, mat_power, operator_norm, operator_norms
 from .search import StableCombination
 
 DEFAULT_ENUM_CAP = 10_000_000
+# Products of one duration the envelope scan expands together; a scan holds
+# at most about horizon * SLICE * (largest out-degree) products at once.
+SLICE = 1024
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -137,7 +143,7 @@ def _unit_step_nodes(family: MatrixFamily, comb: StableCombination) -> list:
     A plain vertex is one node; the hub is a chain of one node per step of
     `comb.steps`.  A node is (subsystem matrix, the vertex it opens or
     None, successor nodes).  The nodes that open a vertex come in ascending
-    vertex order, so a depth-first scan from them meets products in the
+    vertex order, so the preorder of the products grown from them is the
     order of their walks.
     """
     graph = build_graph(family.size)
@@ -155,31 +161,79 @@ def _unit_step_nodes(family: MatrixFamily, comb: StableCombination) -> list:
 
 def _scan(nodes: list, dim: int, horizon: int):
     """Largest ||product|| at each duration 0..horizon, with the preorder
-    index and the vertex walk of the first product reaching it."""
+    index and the vertex walk of the first product reaching it.
+
+    Products are expanded a batch at a time.  A batch holds the children
+    of one slice of at most SLICE products of the previous duration,
+    sorted by node, so each edge costs one broadcast matmul and each batch
+    one batched SVD.  Slices are expanded depth first, so the scan holds
+    one batch per duration, not a whole level.  Each product carries its
+    preorder index (its parent's, plus 1, plus the subtree sizes of its
+    earlier siblings) and the position of its parent in the batch before,
+    from which the walk of a new peak is rebuilt.
+    """
     peaks = [1.0] + [0.0] * horizon
     first_hits = [0] * (horizon + 1)
     walks: list[tuple[int, ...]] = [()] * (horizon + 1)
-    index = 0
-
-    def visit(node: int, parent: np.ndarray, t: int, walk: tuple[int, ...]) -> None:
-        nonlocal index
-        index += 1
-        mat, opens, succ = nodes[node]
-        p = mat @ parent
-        if opens is not None:
-            walk += (opens,)
-        norm = operator_norm(p)
-        if norm > peaks[t]:
-            peaks[t], first_hits[t], walks[t] = norm, index, walk
-        if t < horizon:
-            for child in succ:
-                visit(child, p, t + 1, walk)
-
-    if horizon > 0:
-        for node, (_, opens, _) in enumerate(nodes):
-            if opens is not None:
-                visit(node, np.eye(dim), 1, ())
+    # A last, virtual node holds the empty product; its successors are the
+    # nodes that open a vertex.
+    roots = [n for n, (_, opens, _) in enumerate(nodes) if opens is not None]
+    nodes = nodes + [(np.eye(dim), None, roots)]
+    # sizes[r][n]: products in the subtree of a product at node n that may
+    # grow r more steps, itself included.
+    sizes = [[1] * len(nodes)]
+    for _ in range(horizon - 1):
+        sizes.append([1 + sum(sizes[-1][c] for c in succ) for _, _, succ in nodes])
+    # batches[t]: (products, nodes, preorder indices, parent positions) of
+    # the batch of duration t being expanded.
+    batches = [(np.eye(dim)[None], np.array([len(nodes) - 1]), np.zeros(1, np.int64), None)]
+    batches += [None] * horizon
+    todo = [(0, 0)] if horizon > 0 else []
+    while todo:
+        t, start = todo.pop()
+        stack, node, index, _ = batches[t]
+        stop = min(start + SLICE, len(node))
+        if stop < len(node):
+            todo.append((t, stop))
+        bounds = start + np.searchsorted(node[start:stop], np.arange(len(nodes) + 1))
+        below = sizes[horizon - t - 1]
+        parts = []
+        for n, (_, _, succ) in enumerate(nodes):
+            lo, hi = bounds[n], bounds[n + 1]
+            if lo == hi:
+                continue
+            offset = 1
+            for c in succ:
+                parts.append((c, nodes[c][0] @ stack[lo:hi], index[lo:hi] + offset, lo, hi))
+                offset += below[c]
+        parts.sort(key=lambda part: part[0])
+        batch = (
+            np.concatenate([p for _, p, _, _, _ in parts]),
+            np.concatenate([np.full(hi - lo, c) for c, _, _, lo, hi in parts]),
+            np.concatenate([i for _, _, i, _, _ in parts]),
+            np.concatenate([np.arange(lo, hi) for _, _, _, lo, hi in parts]),
+        )
+        batches[t + 1] = batch
+        norms, index = operator_norms(batch[0]), batch[2]
+        ties = np.flatnonzero(norms == norms.max())
+        pos = ties[np.argmin(index[ties])]
+        if (norms[pos], -index[pos]) > (peaks[t + 1], -first_hits[t + 1]):
+            peaks[t + 1], first_hits[t + 1] = float(norms[pos]), int(index[pos])
+            walks[t + 1] = _walk(nodes, batches, t + 1, pos)
+        if t + 1 < horizon:
+            todo.append((t + 1, 0))
     return peaks, first_hits, walks
+
+
+def _walk(nodes: list, batches: list, t: int, pos: int) -> tuple[int, ...]:
+    """The vertex walk of the product at `pos` in the batch of duration t."""
+    walk = []
+    for s in range(t, 0, -1):
+        _, node, _, parent = batches[s]
+        if nodes[node[pos]][1] is not None:
+            walk.append(nodes[node[pos]][1])
+        pos = parent[pos]
+    return tuple(reversed(walk))
 
 
 def envelope_profile(

@@ -17,6 +17,7 @@ from swstab.cli import (
     EXIT_USAGE,
     main,
 )
+from swstab.graph import POLICIES
 
 
 def _exit_code(argv) -> int:
@@ -342,23 +343,49 @@ _INSTANCES = st.integers(1, 3).flatmap(
 )
 
 
-def _run_instance(directory, instance, command):
+def _run_instance(directory, instance, command, seed=0, policy="uniform-random"):
     path = directory / "instance.json"
     path.write_text(json.dumps(instance))
-    if command == "experiment":
-        argv = [command, "--instance", str(path), "--out", str(directory / "exp")]
-        argv += ["--trials", "2", "--horizon", "40"]
+    if command in ("simulate", "experiment"):
+        argv = [command, "--instance", str(path)] if command == "experiment" else [command, str(path)]
+        argv += ["--out", str(directory / "exp"), "--trials", "2", "--horizon", "40"]
+        argv += ["--seed", str(seed), "--policy", policy]
     else:
         argv = [command, str(path)]
     return _exit_code(argv + ["--pmax", "3", "--qmax", "3", "--mmax", "64"])
 
 
 @settings(max_examples=200, deadline=None)
-@given(_INSTANCES, st.sampled_from(["analyze", "certify", "verify", "experiment"]))
-def test_instance_fuzz_ends_in_a_documented_exit_code(fuzz_dir, instance, command):
+@given(
+    _INSTANCES,
+    st.sampled_from(["analyze", "certify", "verify", "simulate", "experiment"]),
+    st.integers(0, 2**32),
+    st.sampled_from(POLICIES),
+)
+def test_instance_fuzz_ends_in_a_documented_exit_code(fuzz_dir, instance, command, seed, policy):
     # Small instances with round entries hit the degenerate cases: stable
-    # subsystems, nilpotent products, exact zeros.
-    assert _run_instance(fuzz_dir, instance, command) in {0, 2, 3, 4, 5, 64}
+    # subsystems, nilpotent products, exact zeros.  Seeds and policies vary
+    # where the schedule starts, so a zero matrix can open it.
+    assert _run_instance(fuzz_dir, instance, command, seed, policy) in {0, 2, 3, 4, 5, 64}
+
+
+_ZERO_FIRST = {"dim": 2, "matrices": [[[0, 0], [0, 0]], [[1.2, 0], [0, 0.4]], [[0.4, 0], [0, 1.2]]]}
+
+
+@pytest.mark.parametrize("command", ["simulate", "experiment"])
+def test_zero_state_trial_reports_an_undefined_fit(command, tmp_path, capsys):
+    # Round-robin opens with the zero matrix, so every trial's state is
+    # exactly 0 from step 1 on and no decay rate is defined.
+    assert _run_instance(tmp_path, _ZERO_FIRST, command, policy="round-robin") == EXIT_OK
+    out = capsys.readouterr().out
+    if command == "simulate":
+        assert out == "".join(
+            f"trial {k}: fit undefined (fewer than two positive norms)\n" for k in range(2)
+        )
+    else:
+        report = json.loads((tmp_path / "exp" / "report.json").read_text())
+        assert [(e["fit_amplitude"], e["fit_rate"]) for e in report["trials"]] == [(None, None)] * 2
+        assert report["summary"] == {"trials": 2, "ges_violations": 0}
 
 
 @pytest.mark.parametrize("command", ["analyze", "certify", "verify", "experiment"])

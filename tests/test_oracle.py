@@ -8,6 +8,7 @@ import swstab.oracle
 from swstab import (
     EnumerationCapExceeded,
     EnvelopeProfile,
+    MatrixFamily,
     basis_length,
     build_graph,
     check_certificate,
@@ -26,7 +27,7 @@ from swstab import (
     walk_to_signal,
 )
 from swstab.certificate import RATE_SAFETY
-from swstab.linalg import operator_norm
+from swstab.linalg import operator_norm, operator_norms
 
 
 def _reference_profile(family, comb, horizon):
@@ -97,15 +98,26 @@ def test_envelope_profile_small_case(diag_family, diag_comb):
     assert profile.walks == ((), (1,), (2, 3))
 
 
+def _count_norms(monkeypatch) -> list[int]:
+    """Patch the scan's batched norm to record how many products each call takes."""
+    rows: list[int] = []
+
+    def counting_norms(stack):
+        rows.append(len(stack))
+        return operator_norms(stack)
+
+    monkeypatch.setattr(swstab.oracle, "operator_norms", counting_norms)
+    return rows
+
+
 def test_envelope_profile_cap(diag_family, diag_comb, monkeypatch):
     # The cap is checked on the counts before any product is multiplied.
-    norms = []
-    monkeypatch.setattr(swstab.oracle, "operator_norm", lambda a: norms.append(a))
+    rows = _count_norms(monkeypatch)
     with pytest.raises(EnumerationCapExceeded):
         envelope_profile(diag_family, diag_comb, horizon=30, cap=100)
     with pytest.raises(EnumerationCapExceeded):
         envelope_profile(diag_family, diag_comb, horizon=10, cap=190)
-    assert norms == []
+    assert rows == []
 
 
 def test_envelope_profile_cap_allows_exactly_cap_products(diag_family, diag_comb):
@@ -134,19 +146,13 @@ def test_bound_check_breaks_ties_by_preorder():
 def test_envelope_profile_counts_what_it_scans(
     diag_family, diag_comb, shear_family, shear_comb, monkeypatch
 ):
-    norm_calls = []
-
-    def counting_norm(a):
-        norm_calls.append(1)
-        return operator_norm(a)
-
-    monkeypatch.setattr(swstab.oracle, "operator_norm", counting_norm)
+    rows = _count_norms(monkeypatch)
     for family, comb in _reference_instances(
         diag_family, diag_comb, shear_family, shear_comb
     ):
-        norm_calls.clear()
+        rows.clear()
         profile = envelope_profile(family, comb, basis_length(family, comb) + 6)
-        assert len(norm_calls) == sum(profile.counts[1:])
+        assert sum(rows) == sum(profile.counts[1:])
 
 
 def test_oracle_agrees_with_brute_force_reference(
@@ -175,6 +181,81 @@ def test_oracle_agrees_with_brute_force_reference(
         else:
             expected = min(-math.log(w) / t for t, w in enumerate(windows, start=basis))
             assert sound == pytest.approx(expected * (1 - RATE_SAFETY), rel=1e-12)
+
+
+def _depth_first_profile(family, comb, horizon):
+    """Peaks, first hits, walks and counts from a frozen copy of the
+    depth-first scan the batched one replaced: one product and one SVD at
+    a time, in preorder, keeping the first product that beats the peak."""
+    nodes = swstab.oracle._unit_step_nodes(family, comb)
+    peaks = [1.0] + [0.0] * horizon
+    first_hits = [0] * (horizon + 1)
+    walks = [()] * (horizon + 1)
+    counts = [1] + [0] * horizon
+    index = 0
+
+    def visit(node, parent, t, walk):
+        nonlocal index
+        index += 1
+        counts[t] += 1
+        mat, opens, succ = nodes[node]
+        p = mat @ parent
+        if opens is not None:
+            walk += (opens,)
+        norm = operator_norm(p)
+        if norm > peaks[t]:
+            peaks[t], first_hits[t], walks[t] = norm, index, walk
+        if t < horizon:
+            for child in succ:
+                visit(child, p, t + 1, walk)
+
+    if horizon > 0:
+        for node, (_, opens, _) in enumerate(nodes):
+            if opens is not None:
+                visit(node, np.eye(family.dim), 1, ())
+    return tuple(peaks), tuple(first_hits), tuple(walks), tuple(counts)
+
+
+@pytest.mark.parametrize("slice_size", [7, swstab.oracle.SLICE])
+@pytest.mark.parametrize(
+    "family, horizon",
+    [
+        # commuting, so many products tie exactly and the preorder rule decides
+        (MatrixFamily((np.diag([1.2, 0.4]), np.diag([0.4, 1.2]))), 16),
+        (generate_random_instance(2, 3, seed=0), 16),
+        (generate_random_instance(3, 4, seed=0), 14),  # block of 3 steps
+        (generate_random_instance(2, 4, seed=0), 30),  # block of 9 steps
+        (generate_random_instance(10, 2, seed=0), 7),
+    ],
+    ids=["diagonal", "n2-d3", "n3-d4", "n2-d4", "n10-d2"],
+)
+def test_batched_scan_equals_the_depth_first_scan(family, horizon, slice_size, monkeypatch):
+    # Exact ==, at every horizon up to `horizon`, with slice boundaries
+    # falling inside every batch when the slice size is 7.
+    monkeypatch.setattr(swstab.oracle, "SLICE", slice_size)
+    comb = find_stable_combination(family)
+    for h in range(horizon + 1):
+        profile = envelope_profile(family, comb, h)
+        got = (profile.peaks, profile.first_hits, profile.walks, profile.counts)
+        assert got == _depth_first_profile(family, comb, h)
+
+
+def test_envelope_profile_holds_one_bounded_batch_at_a_time(diag_family, diag_comb, monkeypatch):
+    # Memory is bounded by the slice, not by the level: no batch is larger
+    # than a slice times the largest out-degree, though the levels are.
+    monkeypatch.setattr(swstab.oracle, "SLICE", 7)
+    rows = _count_norms(monkeypatch)
+    profile = envelope_profile(diag_family, diag_comb, horizon=16)
+    degree = max(len(succ) for _, _, succ in swstab.oracle._unit_step_nodes(diag_family, diag_comb))
+    assert max(rows) <= 7 * degree < max(profile.counts)
+
+
+def test_envelope_profile_rejects_a_product_past_double_range(diag_comb):
+    # 1e200 * 1e200 overflows at two steps (a tail step, then the hub's
+    # second one); the scan refuses it as every norm refuses an inf entry.
+    family = MatrixFamily((np.diag([1e200, 0.4]), np.diag([0.4, 1e200])))
+    with pytest.raises(ValueError, match="matrix entries must be finite"):
+        envelope_profile(family, diag_comb, horizon=4)
 
 
 def test_signal_and_oracle_agree_on_the_step_order(

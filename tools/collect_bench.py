@@ -1,0 +1,62 @@
+#!/usr/bin/env python3
+"""Benchmark one commit and save every run as BENCH_<short-sha>.json.
+
+    python3 tools/collect_bench.py [CHECKOUT]
+
+Runs the benchmark of BENCHMARK.json (``perfbench/run.py``) in CHECKOUT,
+a clean git checkout (default: the repository this script is in), for
+every workload at seeds 0, 1 and 2, untraced (``--trace 0``) and traced
+(``--trace 1``), one run at a time for ``run_seconds`` each.  The two
+JSON lines of each run (details, then result) go into
+``BENCH_<short sha of CHECKOUT's HEAD>.json`` at the root of the
+repository this script is in, so the figures of several commits can be
+collected side by side.
+"""
+
+from __future__ import annotations
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent.parent
+SEEDS = (0, 1, 2)
+TRACES = (0, 1)
+
+
+def git(checkout: Path, *args: str) -> str:
+    return subprocess.run(
+        ["git", "-C", str(checkout), *args], capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    checkout = Path(argv[0]).resolve() if argv else HERE
+    if git(checkout, "status", "--porcelain", "--untracked-files=no"):
+        sys.exit(f"collect_bench: {checkout} has uncommitted changes; its HEAD would not name it")
+    sha = git(checkout, "rev-parse", "--short", "HEAD")
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    runs = []
+    for workload in (w["name"] for w in spec["workloads"]):
+        for seed in SEEDS:
+            for trace in TRACES:
+                cmd = spec["command"] + [
+                    "--workload", workload, "--seed", str(seed),
+                    "--seconds", str(spec["run_seconds"]), "--trace", str(trace),
+                ]
+                proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900)
+                if proc.returncode != 0:
+                    sys.exit(f"collect_bench: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
+                details, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
+                runs.append({"details": details, "result": result})
+                print(f"{workload} seed={seed} trace={trace} correct={result['correct']}", flush=True)
+    out = HERE / f"BENCH_{sha}.json"
+    out.write_text(json.dumps({"commit": sha, "runs": runs}, indent=1) + "\n")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
