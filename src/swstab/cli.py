@@ -300,9 +300,9 @@ def cmd_experiment(args) -> int:
     cert_dict = {
         "rate": cert.rate,
         "max_rate": best,
-        "lhs": cert.lhs_value if math.isfinite(cert.lhs_value) else None,
+        "lhs": cert.lhs_value,
         "feasible": cert.feasible,
-        "margin": cert.margin if math.isfinite(cert.margin) else None,
+        "margin": cert.margin,
         "boundary": cert.boundary,
     }
 
@@ -310,7 +310,7 @@ def cmd_experiment(args) -> int:
     if cert.feasible:
         envelope, method, _ = capped_envelope(family, comb, cert.rate, cap=PIPELINE_ENUM_CAP)
         cert_dict["envelope_method"] = method
-        cert_dict["envelope_constant"] = envelope if math.isfinite(envelope) else None
+        cert_dict["envelope_constant"] = envelope
     report["certificate"] = cert_dict
 
     walk, signal, trajectories = _schedule_and_trials(family, comb, args, out)
@@ -349,9 +349,21 @@ def cmd_experiment(args) -> int:
     return EXIT_OK
 
 
+def _json_safe(value):
+    """`value` with every non-finite float (an undefined or overflowed
+    figure) replaced by None, which JSON writes as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_safe(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_safe(item) for item in value]
+    return value
+
+
 def _write_report(out: Path, report: dict) -> None:
     with open(out / "report.json", "w") as f:
-        json.dump(report, f, indent=2)
+        json.dump(_json_safe(report), f, indent=2, allow_nan=False)
         f.write("\n")
 
 

@@ -36,10 +36,12 @@ class SwitchGraph:
         from_hub = {(hub, ell) for ell in range(1, n + 1)}
         extra = {(hub, hub)} if self.allow_stable_self_loop else set()
         edges = frozenset(chain | into_hub | from_hub | extra)
-        out = {
-            v: tuple(sorted(w for (u, w) in edges if u == v))
-            for v in range(1, hub + 1)
-        }
+        # out[v]: the sorted out-neighbours of vertex v; out[0] holds the
+        # vertices a walk may start at.
+        out = tuple(
+            [tuple(range(1, hub + 1))]
+            + [tuple(sorted(w for (u, w) in edges if u == v)) for v in range(1, hub + 1)]
+        )
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_out", out)
 
@@ -58,7 +60,7 @@ class SwitchGraph:
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         if v not in self.vertices:
             raise ValueError(f"vertex {v} outside 1..{self.stable_vertex}")
-        return self._out[v]
+        return self._out[int(v)]
 
 
 def build_graph(n_subsystems: int, allow_stable_self_loop: bool = False) -> SwitchGraph:
@@ -72,14 +74,23 @@ def build_graph(n_subsystems: int, allow_stable_self_loop: bool = False) -> Swit
 
 def validate_walk(graph: SwitchGraph, vertices: Sequence[int]) -> list[int]:
     """Check vertex ranges and adjacency; raise naming the first bad pair."""
-    walk = [int(v) for v in vertices]
-    for v in walk:
-        if v not in graph.vertices:
-            raise ValueError(f"vertex {v} outside 1..{graph.stable_vertex}")
-    for u, v in zip(walk, walk[1:]):
-        if (u, v) not in graph.edges:
-            raise ValueError(f"({u}, {v}) is not an edge of the switch graph")
+    walk = list(map(int, vertices))
+    valid, edges = graph.vertices, graph.edges
+    if not set(walk).issubset(valid):
+        v = next(v for v in walk if v not in valid)
+        raise ValueError(f"vertex {v} outside 1..{graph.stable_vertex}")
+    if not edges.issuperset(zip(walk, walk[1:])):
+        u, v = next(pair for pair in zip(walk, walk[1:]) if pair not in edges)
+        raise ValueError(f"({u}, {v}) is not an edge of the switch graph")
     return walk
+
+
+_WORD = 0xFFFFFFFF
+_TWO_32 = 1 << 32
+# The word buffer refills with 8 64-bit outputs at first and twice as many
+# each time after, up to 64, so short walks draw little and long ones
+# refill rarely.
+_FIRST_REFILL, _LAST_REFILL = 8, 64
 
 
 class WalkGenerator:
@@ -87,11 +98,22 @@ class WalkGenerator:
 
     Policies:
       * ``uniform-random`` -- the start vertex and every successor are
-        drawn uniformly; randomness comes from numpy's PCG64
-        so identical seeds reproduce identical walks anywhere.
+        drawn uniformly; randomness comes from numpy's PCG64 so identical
+        seeds reproduce identical walks anywhere.
       * ``round-robin`` -- always moves to the smallest out-neighbor,
         cycling through the subsystems in ascending order.
       * ``alternate-stable`` -- hub, partner, hub, partner, ...
+
+    Stream contract: a ``uniform-random`` walk makes the same draws as
+    ``Generator(PCG64(seed))`` called as ``integers(1, N + 2)`` for the
+    start vertex and ``integers(len(options))`` for each successor, so its
+    walks equal those of that scalar loop.  The generator reads PCG64's
+    64-bit outputs in bulk and hands them out as 32-bit words, the low
+    half of each output first and then the high half, as PCG64's
+    ``next_uint32`` does.  A word w maps to [0, k) by Lemire's method as
+    numpy applies it (Lemire 2019, ACM TOMACS 29(1)): m = w * k is
+    rejected while m mod 2**32 < (2**32 - k) mod k, else the draw is
+    m >> 32.  A vertex with one out-neighbor consumes no word.
 
     A generator is single-threaded mutable state; create one per thread.
     """
@@ -112,35 +134,44 @@ class WalkGenerator:
         self.graph = graph
         self.policy = policy
         self.partner = partner
-        self._rng = np.random.Generator(np.random.PCG64(seed))
-        self._last: int | None = None
+        self._bits = np.random.PCG64(seed)
+        self._words: list[int] = []  # buffered 32-bit words, next one last
+        self._refill = _FIRST_REFILL
+        self._out = graph._out
+        self._last = 0  # 0 before the first vertex: _out[0] are the start vertices
 
-    def _first_vertex(self) -> int:
-        if self.policy == "uniform-random":
-            return int(self._rng.integers(1, self.graph.stable_vertex + 1))
-        if self.policy == "alternate-stable":
-            return self.graph.stable_vertex
-        return 1  # round-robin
-
-    def _next_vertex(self, last: int) -> int:
-        options = self.graph.out_neighbors(last)
-        if self.policy == "uniform-random":
-            return int(options[self._rng.integers(len(options))])
-        if self.policy == "alternate-stable":
-            return (
-                self.partner
-                if last == self.graph.stable_vertex
-                else self.graph.stable_vertex
-            )
-        return options[0]  # round-robin
+    def _draw(self, k: int) -> int:
+        """A uniform integer in [0, k), 2 <= k < 2**32, from the next words."""
+        words = self._words
+        while True:
+            if not words:
+                raw = self._bits.random_raw(self._refill)
+                # as little-endian 32-bit halves: each output's low half first
+                words += raw.astype("<u8", copy=False).view("<u4")[::-1].tolist()
+                self._refill = min(2 * self._refill, _LAST_REFILL)
+            m = words.pop() * k
+            if m & _WORD >= (_TWO_32 - k) % k:
+                return m >> 32
 
     def take(self, n: int) -> list[int]:
         """The next n vertices of the walk."""
-        out = []
-        for _ in range(n):
-            v = self._first_vertex() if self._last is None else self._next_vertex(self._last)
-            out.append(v)
-            self._last = v
+        out, v, succ = [], self._last, self._out
+        if self.policy == "uniform-random":
+            draw = self._draw
+            for _ in range(n):
+                options = succ[v]
+                v = options[draw(len(options))] if len(options) > 1 else options[0]
+                out.append(v)
+        elif self.policy == "alternate-stable":
+            hub = self.graph.stable_vertex
+            for _ in range(n):
+                v = self.partner if v == hub else hub
+                out.append(v)
+        else:  # round-robin
+            for _ in range(n):
+                v = succ[v][0]
+                out.append(v)
+        self._last = v
         return out
 
 
@@ -168,18 +199,21 @@ def walk_for_horizon(
 ) -> list[int]:
     """The seeded schedule of a run: vertices until the signal covers `horizon` steps.
 
-    The vertices come one at a time from a WalkGenerator seeded with
+    The vertices come from a WalkGenerator seeded with
     SeedSequence((seed, 0)); the trials of the same run draw their initial
-    states from (seed, 1 + k), see `swstab.simulate.trial_x0`.
+    states from (seed, 1 + k), see `swstab.simulate.trial_x0`.  No vertex
+    past the last one the walk needs is drawn.
     """
     gen = WalkGenerator(
         graph, policy, seed=np.random.SeedSequence((seed, 0)), partner=partner
     )
     walk, duration = [], 0
+    hub, block = graph.stable_vertex, comb.block_duration
     while duration < horizon:
-        v = gen.take(1)[0]
-        walk.append(v)
-        duration += comb.block_duration if v == graph.stable_vertex else 1
+        # no vertex runs more than `block` steps, so each of these is needed
+        for v in gen.take(-(-(horizon - duration) // block)):
+            walk.append(v)
+            duration += block if v == hub else 1
     return walk
 
 
@@ -206,13 +240,14 @@ def walk_to_signal(
     """Expand walk vertices into steps: a plain vertex runs its own
     subsystem for one step, the hub runs the combination block `comb.steps`."""
     steps: list[int] = []
+    hub, valid, block = graph.stable_vertex, graph.vertices, comb.steps
     for v in walk:
-        if v == graph.stable_vertex:
-            steps += comb.steps
-        elif v in graph.vertices:
+        if v == hub:
+            steps += block
+        elif v in valid:
             steps.append(int(v))
         else:
-            raise ValueError(f"vertex {v} outside 1..{graph.stable_vertex}")
+            raise ValueError(f"vertex {v} outside 1..{hub}")
     return SwitchingSignal(tuple(steps))
 
 
@@ -223,8 +258,9 @@ def max_stable_gap(graph: SwitchGraph, walk: Sequence[int]) -> int:
     last one; the graph structure bounds the result by N on valid walks.
     """
     gap = best = 0
+    hub = graph.stable_vertex
     for v in walk:
-        if v == graph.stable_vertex:
+        if v == hub:
             gap = 0
         else:
             gap += 1

@@ -261,7 +261,10 @@ def envelope_profile(
             for child in succ:
                 nxt[child] += n
         level = nxt
-    peaks, first_hits, walks = _scan(nodes, family.dim, horizon)
+    # operator_norms refuses a product past double range; no overflow
+    # warning from its matmul precedes that error
+    with np.errstate(over="ignore"):
+        peaks, first_hits, walks = _scan(nodes, family.dim, horizon)
     return EnvelopeProfile(
         basis=basis_length(family, comb),
         block=comb.block_duration,

@@ -77,16 +77,22 @@ def compute_contraction(combo: np.ndarray, m_max: int = 512) -> tuple[int, float
 
     Raises ValueError for a non-Schur-stable input and ContractionError if
     m_max is exhausted (possible for highly non-normal products; raise the
-    cap in that case).
+    cap in that case) or a power leaves the double range first.
     """
     if not is_schur_stable(combo):
         raise ValueError("precondition violated: matrix is not Schur stable")
     p = np.eye(combo.shape[0])
-    for m in range(1, m_max + 1):
-        p = combo @ p
-        norm = operator_norm(p)
-        if norm < 1.0:
-            return m, norm
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m in range(1, m_max + 1):
+            p = combo @ p
+            try:
+                norm = operator_norm(p)
+            except ValueError:  # refused: an entry past double range
+                raise ContractionError(
+                    f"power {m} leaves the double range before contracting"
+                ) from None
+            if norm < 1.0:
+                return m, norm
     raise ContractionError(
         f"no power up to m_max={m_max} has operator norm below 1"
     )
@@ -115,7 +121,8 @@ def find_stable_combination(
     power norms never contract within m_max (spectral radius barely under
     1) are skipped as unusable, and so are nilpotent hits whose first
     contracting power is exactly zero: the certificate takes the
-    logarithm of its norm.
+    logarithm of its norm.  Candidates, and powers of candidates, that
+    leave the double range are skipped as unusable too.
 
     Returns None when the bounded grid is exhausted.
     """
@@ -131,19 +138,27 @@ def find_stable_combination(
             powers[key] = mat_power(family.matrix(ell), k)
         return powers[key]
 
-    for p, q in _exponent_pairs(p_max, q_max):
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                if i == j:
-                    continue
-                candidate = power(i, p) @ power(j, q)
-                if is_schur_stable(candidate):
+    # A power or product past double range holds inf or nan entries, which
+    # is_schur_stable and operator_norm refuse; such a candidate is skipped.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, q in _exponent_pairs(p_max, q_max):
+            for i in range(1, n + 1):
+                for j in range(1, n + 1):
+                    if i == j:
+                        continue
+                    candidate = power(i, p) @ power(j, q)
+                    try:
+                        stable = is_schur_stable(candidate)
+                    except ValueError:
+                        continue
+                    if not stable:
+                        continue
                     try:
                         m, rho = compute_contraction(candidate, m_max)
                     except ContractionError:
-                        # spectral radius barely under 1: norms of its powers
-                        # never drop below 1 within the cap; an unusable hit,
-                        # keep scanning
+                        # spectral radius barely under 1 (norms of its powers
+                        # never drop below 1 within the cap) or powers past
+                        # double range: an unusable hit, keep scanning
                         continue
                     if rho == 0.0:
                         continue

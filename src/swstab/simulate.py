@@ -58,13 +58,22 @@ def trial_x0(seed: int, trial: int, dim: int) -> np.ndarray:
     return rng.uniform(-1.0, 1.0, size=dim)
 
 
-def _check_horizon(signal: SwitchingSignal, horizon: int) -> None:
+def _step_matrices(
+    family: MatrixFamily, signal: SwitchingSignal, horizon: int
+) -> list[np.ndarray]:
+    """The subsystem matrix run at each of the signal's first `horizon` steps."""
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
     if horizon > signal.duration:
         raise ValueError(
             f"horizon {horizon} exceeds signal duration {signal.duration}"
         )
+    steps, n = signal.steps[:horizon], family.size
+    if steps and not (1 <= min(steps) and max(steps) <= n):
+        bad = next(ell for ell in steps if not 1 <= ell <= n)
+        raise ValueError(f"subsystem index {bad} outside 1..{n}")
+    mats = (None,) + family.subsystems
+    return [mats[ell] for ell in steps]
 
 
 def simulate(
@@ -80,13 +89,14 @@ def simulate(
     bit for bit.
     """
     x = as_vector(x0, family.dim)
-    _check_horizon(signal, horizon)
+    mats = _step_matrices(family, signal, horizon)
     states = np.empty((horizon + 1, family.dim))
     states[0] = x
-    for t, ell in enumerate(signal.steps[:horizon]):
-        x = family.matrix(ell) @ x
-        states[t + 1] = x
-    norms = np.linalg.norm(states, axis=1)
+    # a diverging trajectory may leave double range; its states hold inf/nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t, a in enumerate(mats, start=1):
+            x = states[t] = a @ x
+        norms = np.linalg.norm(states, axis=1)
     return Trajectory(states=states, norms=norms)
 
 
@@ -101,11 +111,11 @@ def product_norms(
     small dimensions in scope this is cheaper than any incremental bound
     and exact.
     """
-    _check_horizon(signal, horizon)
+    mats = _step_matrices(family, signal, horizon)
     stack = np.empty((horizon + 1, family.dim, family.dim))
     p = stack[0] = np.eye(family.dim)
-    for t, ell in enumerate(signal.steps[:horizon]):
-        p = stack[t + 1] = family.matrix(ell) @ p
+    for t, a in enumerate(mats, start=1):
+        p = stack[t] = a @ p
     return operator_norms(stack)
 
 

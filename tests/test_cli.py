@@ -388,6 +388,43 @@ def test_zero_state_trial_reports_an_undefined_fit(command, tmp_path, capsys):
         assert report["summary"] == {"trials": 2, "ges_violations": 0}
 
 
+_PAST_DOUBLE_RANGE = {
+    "dim": 2,
+    "matrices": [[[1e160, 0], [0, 1e-170]], [[1e160, 0], [0, 1e-170]], [[1e-170, 0], [0, 1e160]]],
+}
+
+
+@pytest.mark.parametrize("command", ["analyze", "certify", "simulate"])
+def test_candidate_past_double_range_is_skipped(command, tmp_path, capsys):
+    # The first candidate, A_1 @ A_2 = diag(1e320, 1e-340), overflows; it is
+    # skipped and A_1 @ A_3 = diag(1e-10, 1e-10) is the combination.
+    assert _run_instance(tmp_path, _PAST_DOUBLE_RANGE, command, policy="round-robin") == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    if command == "analyze":
+        assert "stable combination: head=1 tail=3 p=1 q=1 m=1 rho=1e-10\n" in captured.out
+
+
+def test_report_is_strict_json_when_a_trajectory_overflows(tmp_path, capsys):
+    # Round-robin runs diag(1e10, 1e-11) twice in a row, so the trial's
+    # norms reach inf: its fit and envelope margin are undefined (nan).
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({
+        "dim": 2,
+        "matrices": [[[1e10, 0], [0, 1e-11]], [[1e10, 0], [0, 1e-11]], [[1e-11, 0], [0, 1e10]]],
+    }))
+    argv = ["experiment", "--instance", str(path), "--policy", "round-robin", "--trials", "1"]
+    assert main(argv + ["--out", str(tmp_path / "exp")]) == EXIT_BOUND_VIOLATED
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    report = json.loads((tmp_path / "exp" / "report.json").read_text(), parse_constant=reject)
+    (trial,) = report["trials"]
+    assert (trial["fit_amplitude"], trial["fit_rate"], trial["worst_margin"]) == (None, None, None)
+    assert trial["ges_holds"] is False
+
+
 @pytest.mark.parametrize("command", ["analyze", "certify", "verify", "experiment"])
 def test_nilpotent_combination_is_skipped(command, tmp_path, capsys):
     # diag(2, 0) @ diag(0, 2) = 0 is Schur stable, but its contraction norm

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from swstab import (
@@ -6,6 +7,7 @@ from swstab import (
     find_stable_combination,
     generate_random_instance,
     generate_walk,
+    graph as graph_module,
     max_stable_gap,
     validate_walk,
     walk_for_horizon,
@@ -139,3 +141,123 @@ def test_walk_for_horizon_golden(name, diag_family):
         assert walk_for_horizon(graph, comb, policy, seed, 16) == walk
         assert walk_to_signal(graph, walk, comb).duration >= 16
         assert walk_to_signal(graph, walk[:-1], comb).duration < 16
+
+
+class _ScalarWalkGenerator:
+    """Frozen copy of the walk generator the bulk-draw one replaced: one
+    scalar `Generator.integers` call per drawn vertex, out-neighbours read
+    through `out_neighbors`."""
+
+    def __init__(self, graph, policy, seed=None, partner=1):
+        self.graph, self.policy, self.partner = graph, policy, partner
+        self._rng = np.random.Generator(np.random.PCG64(seed))
+        self._last = None
+
+    def _first_vertex(self):
+        if self.policy == "uniform-random":
+            return int(self._rng.integers(1, self.graph.stable_vertex + 1))
+        if self.policy == "alternate-stable":
+            return self.graph.stable_vertex
+        return 1
+
+    def _next_vertex(self, last):
+        options = self.graph.out_neighbors(last)
+        if self.policy == "uniform-random":
+            return int(options[self._rng.integers(len(options))])
+        if self.policy == "alternate-stable":
+            return self.partner if last == self.graph.stable_vertex else self.graph.stable_vertex
+        return options[0]
+
+    def take(self, n):
+        out = []
+        for _ in range(n):
+            v = self._first_vertex() if self._last is None else self._next_vertex(self._last)
+            out.append(v)
+            self._last = v
+        return out
+
+
+def _scalar_walk_for_horizon(graph, comb, policy, seed, horizon, partner=1):
+    """Frozen copy of `walk_for_horizon` on the scalar generator: one
+    vertex per `take`."""
+    gen = _ScalarWalkGenerator(graph, policy, np.random.SeedSequence((seed, 0)), partner)
+    walk, duration = [], 0
+    while duration < horizon:
+        v = gen.take(1)[0]
+        walk.append(v)
+        duration += comb.block_duration if v == graph.stable_vertex else 1
+    return walk
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_walks_equal_the_scalar_draws(n):
+    # 2,000 integer seeds per policy; walks of 1..32 vertices end before,
+    # at and after the word buffer's first refill (16 words).
+    graph = build_graph(n)
+    for policy in graph_module.POLICIES:
+        for seed in range(2000):
+            partner, steps = 1 + seed % n, 1 + seed % 32
+            got = WalkGenerator(graph, policy, seed=seed, partner=partner).take(steps)
+            want = _ScalarWalkGenerator(graph, policy, seed, partner).take(steps)
+            assert got == want, (policy, seed)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10])
+def test_walks_equal_the_scalar_draws_across_takes(n):
+    graph = build_graph(n)
+    for seed in range(50):
+        gen = WalkGenerator(graph, "uniform-random", seed=seed)
+        got = gen.take(1) + gen.take(50) + gen.take(149)
+        assert got == _ScalarWalkGenerator(graph, "uniform-random", seed).take(200)
+    # long enough for the buffer to reach its largest refill
+    for seed in range(3):
+        got = WalkGenerator(graph, "uniform-random", seed=seed).take(6000)
+        assert got == _ScalarWalkGenerator(graph, "uniform-random", seed).take(6000)
+
+
+def test_walks_equal_the_scalar_draws_for_every_seed_form():
+    graph = build_graph(4)
+    seeds = [(0, 4, 1, 7), (3,), (2**40, 5), np.random.SeedSequence((7, 0)),
+             np.random.SeedSequence(2**100 + 3), 2**70]
+    for seed in seeds:
+        got = WalkGenerator(graph, "uniform-random", seed=seed).take(300)
+        assert got == _ScalarWalkGenerator(graph, "uniform-random", seed).take(300), seed
+
+
+@pytest.mark.parametrize("name", ["diagonal", "shear", "seed-1088"])
+def test_walk_for_horizon_equals_the_scalar_draws(name, diag_family, shear_family):
+    family = {
+        "diagonal": diag_family,
+        "shear": shear_family,
+        "seed-1088": generate_random_instance(3, 2, 1088),
+    }[name]
+    comb = find_stable_combination(family)
+    graph = build_graph(family.size)
+    for policy in graph_module.POLICIES:
+        for seed in range(40):
+            for horizon in (0, 1, 2, 7, 16, 65, 400):
+                partner = 1 + seed % family.size
+                got = walk_for_horizon(graph, comb, policy, seed, horizon, partner)
+                assert got == _scalar_walk_for_horizon(graph, comb, policy, seed, horizon, partner)
+
+
+def test_lemire_rejects_a_low_word_and_the_next_word_decides():
+    # k = 3: words w with (3w mod 2**32) < (2**32 - 3) mod 3 = 1, that is
+    # w = 0 only, are rejected.
+    gen = WalkGenerator(build_graph(2), "uniform-random", seed=0)
+    for second in (0x55555556, 0xAAAAAAAB, 0xFFFFFFFF):
+        gen._words[:] = [second, 0]  # the next word is the last one
+        assert gen._draw(3) == (3 * second) >> 32
+        assert gen._words == []
+    gen._words[:] = [0xFFFFFFFF, 1]  # 3 * 1 leaves 3 >= 1: accepted
+    assert gen._draw(3) == 0
+    assert gen._words == [0xFFFFFFFF]
+
+
+@pytest.mark.parametrize("k", [3, 5, 2**31 + 1, 2**32 - 1])
+def test_lemire_draws_equal_numpy_integers(k):
+    # Near k = 2**31 about half of all words are rejected.
+    for seed in range(20):
+        gen = WalkGenerator(build_graph(2), "uniform-random", seed=seed)
+        rng = np.random.Generator(np.random.PCG64(seed))
+        assert [gen._draw(k) for _ in range(100)] == [int(rng.integers(k)) for _ in range(100)]

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import accumulate
 
 import numpy as np
@@ -253,9 +254,12 @@ def test_envelope_profile_holds_one_bounded_batch_at_a_time(diag_family, diag_co
 def test_envelope_profile_rejects_a_product_past_double_range(diag_comb):
     # 1e200 * 1e200 overflows at two steps (a tail step, then the hub's
     # second one); the scan refuses it as every norm refuses an inf entry.
+    # No overflow warning escapes before the refusal.
     family = MatrixFamily((np.diag([1e200, 0.4]), np.diag([0.4, 1e200])))
-    with pytest.raises(ValueError, match="matrix entries must be finite"):
-        envelope_profile(family, diag_comb, horizon=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            envelope_profile(family, diag_comb, horizon=4)
 
 
 def test_signal_and_oracle_agree_on_the_step_order(

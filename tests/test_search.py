@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,3 +100,29 @@ def test_stable_combination_validation():
             contraction_power=1,
             contraction_norm=1.5,
         )
+
+
+def test_candidate_past_double_range_is_skipped():
+    # A_1 @ A_2 = diag(1e320, 1e-340) leaves double range and is skipped,
+    # without an overflow warning; A_1 @ A_3 = diag(1e-10, 1e-10) is next.
+    family = MatrixFamily(
+        tuple(np.diag(d) for d in ([1e160, 1e-170], [1e160, 1e-170], [1e-170, 1e160]))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        comb = find_stable_combination(family)
+    assert (comb.head, comb.tail, comb.head_power, comb.tail_power) == (1, 3, 1, 1)
+    assert comb.contraction_norm == pytest.approx(1e-10)
+
+
+def test_contraction_past_double_range_is_unusable():
+    # Schur stable, but the transient of its powers (about k 0.95^k 6e307)
+    # overflows before any power contracts.
+    combo = np.array([[0.95, 6e307], [0.0, 0.9]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContractionError, match="double range"):
+            compute_contraction(combo)
+        # the same product as the family's only finite candidate is skipped
+        family = MatrixFamily((np.array([[0.5, 1e308], [0.0, 1.5]]), np.diag([1.9, 0.6])))
+        assert find_stable_combination(family) is None
