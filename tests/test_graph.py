@@ -7,12 +7,12 @@ from swstab import (
     find_stable_combination,
     generate_random_instance,
     generate_walk,
-    graph as graph_module,
     max_stable_gap,
     validate_walk,
     walk_for_horizon,
     walk_to_signal,
 )
+from swstab.graph import POLICIES
 
 
 def test_two_subsystem_graph_edges():
@@ -194,7 +194,7 @@ def test_walks_equal_the_scalar_draws(n):
     # 2,000 integer seeds per policy; walks of 1..32 vertices end before,
     # at and after the word buffer's first refill (16 words).
     graph = build_graph(n)
-    for policy in graph_module.POLICIES:
+    for policy in POLICIES:
         for seed in range(2000):
             partner, steps = 1 + seed % n, 1 + seed % 32
             got = WalkGenerator(graph, policy, seed=seed, partner=partner).take(steps)
@@ -233,7 +233,7 @@ def test_walk_for_horizon_equals_the_scalar_draws(name, diag_family, shear_famil
     }[name]
     comb = find_stable_combination(family)
     graph = build_graph(family.size)
-    for policy in graph_module.POLICIES:
+    for policy in POLICIES:
         for seed in range(40):
             for horizon in (0, 1, 2, 7, 16, 65, 400):
                 partner = 1 + seed % family.size
