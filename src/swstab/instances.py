@@ -15,15 +15,12 @@ them:
 from __future__ import annotations
 
 import json
-import logging
 import math
 
 import numpy as np
 
 from .family import MatrixFamily
 from .linalg import is_schur_stable
-
-logger = logging.getLogger(__name__)
 
 MAX_RESAMPLES = 10_000
 
@@ -93,23 +90,14 @@ def generate_random_instance(n_subsystems: int, dim: int, seed: int) -> MatrixFa
         raise ValueError("need at least two subsystems and dim >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     mats = []
-    attempts_total = 0
     for _ in range(n_subsystems):
-        for attempt in range(1, MAX_RESAMPLES + 1):
+        for _ in range(MAX_RESAMPLES):
             a = rng.uniform(-1.0, 1.0, size=(dim, dim))
             if not is_schur_stable(a):
                 mats.append(a)
-                attempts_total += attempt
                 break
         else:
             raise RuntimeError(
                 f"no unstable matrix found in {MAX_RESAMPLES} draws (dim={dim})"
             )
-    logger.debug(
-        "instance seed=%s: %d matrices accepted out of %d draws (rate %.3f)",
-        seed,
-        n_subsystems,
-        attempts_total,
-        n_subsystems / attempts_total,
-    )
     return MatrixFamily(tuple(mats))

@@ -15,13 +15,17 @@ import numpy as np
 SCHUR_MARGIN = 1e-9
 
 
+class NonFiniteMatrixError(ValueError):
+    """A matrix has an inf or nan entry, as a product past double range does."""
+
+
 def as_matrix(a) -> np.ndarray:
     """Validate and return a square, finite float64 matrix."""
     m = np.array(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+        raise NonFiniteMatrixError("matrix entries must be finite")
     return m
 
 
@@ -76,7 +80,7 @@ def operator_norm(a) -> float:
 def operator_norms(stack) -> np.ndarray:
     """`operator_norm` of every matrix of a (k, d, d) stack, in one batched SVD."""
     if not np.all(np.isfinite(stack)):
-        raise ValueError("matrix entries must be finite")
+        raise NonFiniteMatrixError("matrix entries must be finite")
     return np.linalg.svd(stack, compute_uv=False)[:, 0]
 
 

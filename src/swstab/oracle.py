@@ -6,8 +6,8 @@ identity behind the commutator bookkeeping, the rewriting of an admissible
 product into (left part) * combination^m + correction, and the exponential
 envelope over every admissible product up to a horizon.  The envelope
 comes from one batched scan of the time-expanded switch graph: one
-broadcast matmul per edge and one batched SVD per batch of products,
-in slices of SLICE products, so its memory stays bounded.
+gathered matmul and one batched SVD per batch of products, in slices of
+SLICE products, so its memory stays bounded.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 from .certificate import RATE_SAFETY, CertificateInputs
 from .family import MatrixFamily
 from .graph import build_graph, walk_to_signal
-from .linalg import commutator, mat_power, operator_norm, operator_norms
+from .linalg import NonFiniteMatrixError, commutator, mat_power, operator_norm, operator_norms
 from .search import StableCombination
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -159,34 +159,35 @@ def _unit_step_nodes(family: MatrixFamily, comb: StableCombination) -> list:
     return nodes
 
 
-def _scan(nodes: list, dim: int, horizon: int):
+def _scan(nodes: list, sizes: list, horizon: int):
     """Largest ||product|| at each duration 0..horizon, with the preorder
     index and the vertex walk of the first product reaching it.
 
-    Products are expanded a batch at a time.  A batch holds the children
-    of one slice of at most SLICE products of the previous duration,
-    sorted by node, so each edge costs one broadcast matmul and each batch
-    one batched SVD.  Slices are expanded depth first, so the scan holds
-    one batch per duration, not a whole level.  Each product carries its
-    preorder index (its parent's, plus 1, plus the subtree sizes of its
-    earlier siblings) and the position of its parent in the batch before,
-    from which the walk of a new peak is rebuilt.
+    A batch is the children, in preorder, of one slice of at most SLICE
+    products of the previous duration (the last node, the virtual root,
+    holds the empty product): one gathered matmul and one batched SVD.  A
+    slice's descendants are expanded before the next slice, so the scan
+    holds one batch per duration and meets each duration's products in
+    preorder.  Each product carries its preorder index and its parent's
+    position in the batch before, from which a peak's walk is rebuilt.
     """
     peaks = [1.0] + [0.0] * horizon
     first_hits = [0] * (horizon + 1)
     walks: list[tuple[int, ...]] = [()] * (horizon + 1)
-    # A last, virtual node holds the empty product; its successors are the
-    # nodes that open a vertex.
-    roots = [n for n, (_, opens, _) in enumerate(nodes) if opens is not None]
-    nodes = nodes + [(np.eye(dim), None, roots)]
-    # sizes[r][n]: products in the subtree of a product at node n that may
-    # grow r more steps, itself included.
-    sizes = [[1] * len(nodes)]
-    for _ in range(horizon - 1):
-        sizes.append([1 + sum(sizes[-1][c] for c in succ) for _, _, succ in nodes])
+    # Node n's successors are the edges first[n] .. first[n]+degree[n]-1;
+    # edge e leads to node child[e].
+    mats = np.stack([mat for mat, _, _ in nodes])
+    degree = np.array([len(succ) for _, _, succ in nodes])
+    first = np.cumsum(degree) - degree
+    child = np.array([c for _, _, succ in nodes for c in succ])
+    # skips[r, e]: preorder distance along edge e to a child that may grow
+    # r more steps: 1 plus the subtree sizes of its earlier siblings.
+    below = np.array(sizes)[:, child]
+    before = np.cumsum(below, axis=1) - below
+    skips = 1 + before - np.repeat(before[:, first], degree, axis=1)
     # batches[t]: (products, nodes, preorder indices, parent positions) of
     # the batch of duration t being expanded.
-    batches = [(np.eye(dim)[None], np.array([len(nodes) - 1]), np.zeros(1, np.int64), None)]
+    batches = [(mats[-1:], np.array([len(nodes) - 1]), np.zeros(1, np.int64), None)]
     batches += [None] * horizon
     todo = [(0, 0)] if horizon > 0 else []
     while todo:
@@ -195,30 +196,20 @@ def _scan(nodes: list, dim: int, horizon: int):
         stop = min(start + SLICE, len(node))
         if stop < len(node):
             todo.append((t, stop))
-        bounds = start + np.searchsorted(node[start:stop], np.arange(len(nodes) + 1))
-        below = sizes[horizon - t - 1]
-        parts = []
-        for n, (_, _, succ) in enumerate(nodes):
-            lo, hi = bounds[n], bounds[n + 1]
-            if lo == hi:
-                continue
-            offset = 1
-            for c in succ:
-                parts.append((c, nodes[c][0] @ stack[lo:hi], index[lo:hi] + offset, lo, hi))
-                offset += below[c]
-        parts.sort(key=lambda part: part[0])
-        batch = (
-            np.concatenate([p for _, p, _, _, _ in parts]),
-            np.concatenate([np.full(hi - lo, c) for c, _, _, lo, hi in parts]),
-            np.concatenate([i for _, _, i, _, _ in parts]),
-            np.concatenate([np.arange(lo, hi) for _, _, _, lo, hi in parts]),
+        out = degree[node[start:stop]]
+        parent = np.repeat(np.arange(start, stop), out)
+        # a child's edge: its parent's first edge plus its rank among siblings
+        edge = first[node[parent]] + np.arange(len(parent)) - np.repeat(np.cumsum(out) - out, out)
+        batches[t + 1] = batch = (
+            mats[child[edge]] @ stack[parent],
+            child[edge],
+            index[parent] + skips[horizon - t - 1, edge],
+            parent,
         )
-        batches[t + 1] = batch
-        norms, index = operator_norms(batch[0]), batch[2]
-        ties = np.flatnonzero(norms == norms.max())
-        pos = ties[np.argmin(index[ties])]
-        if (norms[pos], -index[pos]) > (peaks[t + 1], -first_hits[t + 1]):
-            peaks[t + 1], first_hits[t + 1] = float(norms[pos]), int(index[pos])
+        norms = operator_norms(batch[0])
+        pos = int(np.argmax(norms))
+        if norms[pos] > peaks[t + 1]:
+            peaks[t + 1], first_hits[t + 1] = float(norms[pos]), int(batch[2][pos])
             walks[t + 1] = _walk(nodes, batches, t + 1, pos)
         if t + 1 < horizon:
             todo.append((t + 1, 0))
@@ -246,32 +237,34 @@ def envelope_profile(
 
     Products run over the unit-step graph, so the ones that stop mid-way
     through a combination block (which no whole-vertex walk represents)
-    are covered as well.  The products of each duration are counted
-    first, and more than `cap` of them in total raise
+    are covered as well.  The products are counted first, duration by
+    duration, and more than `cap` of them in total raise
     EnumerationCapExceeded before any is multiplied.
     """
     nodes = _unit_step_nodes(family, comb)
-    counts, level = [1], [int(opens is not None) for _, opens, _ in nodes]
+    # A last, virtual root holds the empty product; its successors are the
+    # nodes that open a vertex.
+    roots = [n for n, (_, opens, _) in enumerate(nodes) if opens is not None]
+    nodes.append((np.eye(family.dim), None, roots))
+    # sizes[r][n]: products in the subtree of a product at node n that may
+    # grow r more steps, itself included.  The root's column counts the
+    # products of 1..r steps, plus the empty one.
+    sizes = [[1] * len(nodes)]
     for _ in range(horizon):
-        counts.append(sum(level))
-        if sum(counts) - 1 > cap:
+        sizes.append([1 + sum(sizes[-1][c] for c in succ) for _, _, succ in nodes])
+        if sizes[-1][-1] - 1 > cap:
             raise EnumerationCapExceeded(f"more than {cap} products up to horizon {horizon}")
-        nxt = [0] * len(nodes)
-        for (_, _, succ), n in zip(nodes, level):
-            for child in succ:
-                nxt[child] += n
-        level = nxt
     # operator_norms refuses a product past double range; no overflow
     # warning from its matmul precedes that error
     with np.errstate(over="ignore"):
-        peaks, first_hits, walks = _scan(nodes, family.dim, horizon)
+        peaks, first_hits, walks = _scan(nodes, sizes, horizon)
     return EnvelopeProfile(
         basis=basis_length(family, comb),
         block=comb.block_duration,
         peaks=tuple(peaks),
         first_hits=tuple(first_hits),
         walks=tuple(walks),
-        counts=tuple(counts),
+        counts=(1,) + tuple(b[-1] - a[-1] for a, b in zip(sizes, sizes[1:])),
     )
 
 
@@ -326,23 +319,28 @@ def capped_envelope(
     rate: float,
     horizon: int | None = None,
     cap: int = DEFAULT_ENUM_CAP,
-) -> tuple[float, str, EnvelopeProfile | None]:
-    """The envelope constant at `rate`, its method and the profile it was read from.
+) -> tuple[float, str, EnvelopeProfile | str]:
+    """The envelope constant at `rate`, its method, and the profile to
+    `horizon` or why there is none ("enumeration cap" or "products past
+    double range").
 
     One scan to `horizon` (default and minimum: the basis length), or to
-    the basis alone when that outgrows `cap`, gives the exhaustive
-    constant over the basis.  When the basis outgrows `cap` too, the
-    constant is `envelope_constant_bound`, the method "norm-bound" and
-    the profile None.
+    the basis alone when that fails, gives the exhaustive constant over
+    the basis.  When the basis fails too, the constant is
+    `envelope_constant_bound` and the method "norm-bound".
     """
     basis = basis_length(family, comb)
+    reason = None
     for h in (basis,) if horizon in (None, basis) else (horizon, basis):
         try:
             profile = envelope_profile(family, comb, h, cap)
         except EnumerationCapExceeded:
-            continue
-        return profile.bound_check(rate, horizon=basis).max_ratio, "exhaustive", profile
-    return envelope_constant_bound(family, comb, rate), "norm-bound", None
+            reason = reason or "enumeration cap"
+        except NonFiniteMatrixError:
+            reason = reason or "products past double range"
+        else:
+            return profile.bound_check(rate, horizon=basis).max_ratio, "exhaustive", reason or profile
+    return envelope_constant_bound(family, comb, rate), "norm-bound", reason
 
 
 def exhaustive_bound_check(
@@ -440,14 +438,10 @@ def decompose_product(
     needed = basis_length(family, comb)
     duration = walk_to_signal(graph, walk, comb).duration
     if duration != needed:
-        raise ValueError(
-            f"segment duration {duration} != required basis length {needed}"
-        )
-    n_blocks = sum(1 for v in walk if v == hub)
+        raise ValueError(f"segment duration {duration} != required basis length {needed}")
+    n_blocks = walk.count(hub)
     if n_blocks < m:
-        raise ValueError(
-            f"segment holds {n_blocks} combination blocks, needs at least {m}"
-        )
+        raise ValueError(f"segment holds {n_blocks} combination blocks, needs at least {m}")
 
     comb_matrix = np.asarray(comb.product, dtype=float)
     comm = {
@@ -456,7 +450,6 @@ def decompose_product(
     }
     # Product order: leftmost token is the latest time step.
     tokens = [("C",) if v == hub else ("A", v) for v in reversed(walk)]
-    total = _evaluate_tokens(tokens, family, comb_matrix, comm)
 
     main = list(tokens)
     terms: list[list[tuple]] = []
@@ -471,12 +464,15 @@ def decompose_product(
             main[idx], main[idx + 1] = nxt, main[idx]
             idx += 1
 
-    left = _evaluate_tokens(main[: len(main) - m], family, comb_matrix, comm)
-    main_term = left @ mat_power(comb_matrix, m)
-    correction = np.zeros((family.dim, family.dim))
-    for term in terms:
-        correction -= _evaluate_tokens(term, family, comb_matrix, comm)
-    residual = operator_norm(total - (main_term + correction))
+    # operator_norm refuses a product past double range; no warning precedes that
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _evaluate_tokens(tokens, family, comb_matrix, comm)
+        left = _evaluate_tokens(main[: len(main) - m], family, comb_matrix, comm)
+        main_term = left @ mat_power(comb_matrix, m)
+        correction = np.zeros((family.dim, family.dim))
+        for term in terms:
+            correction -= _evaluate_tokens(term, family, comb_matrix, comm)
+        residual = operator_norm(total - (main_term + correction))
     return ProductDecomposition(
         total=total,
         main_term=main_term,

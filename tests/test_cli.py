@@ -405,14 +405,62 @@ def test_candidate_past_double_range_is_skipped(command, tmp_path, capsys):
         assert "stable combination: head=1 tail=3 p=1 q=1 m=1 rho=1e-10\n" in captured.out
 
 
+_OVERFLOWING_TRAJECTORY = {
+    "dim": 2,
+    "matrices": [[[1e10, 0], [0, 1e-11]], [[1e10, 0], [0, 1e-11]], [[1e-11, 0], [0, 1e10]]],
+}
+_CERT_PAST_DOUBLE_RANGE = "CERT lhs=0.99997697441416422 lambda=11.512913952044764 feasible=1\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "instance, command, policy, out",
+    [
+        (
+            _PAST_DOUBLE_RANGE,
+            "verify",
+            None,
+            _CERT_PAST_DOUBLE_RANGE
+            + "exchange identity residual: 0 PASS\n"
+            + "envelope constant: inf (norm-bound, basis length 5)\n"
+            + "exhaustive envelope check: SKIP (products past double range)\n"
+            + "decomposition: SKIP (products past double range)\n",
+        ),
+        (_PAST_DOUBLE_RANGE, "experiment", "uniform-random", _CERT_PAST_DOUBLE_RANGE),
+        (_PAST_DOUBLE_RANGE, "experiment", "round-robin", _CERT_PAST_DOUBLE_RANGE),
+        (
+            _OVERFLOWING_TRAJECTORY,
+            "simulate",
+            "round-robin",
+            "".join(f"trial {k}: fit undefined (norms past double range)\n" for k in range(2)),
+        ),
+    ],
+    ids=["verify", "experiment-uniform-random", "experiment-round-robin", "simulate-round-robin"],
+)
+def test_products_past_double_range_end_cleanly(instance, command, policy, out, tmp_path, capsys):
+    # On the 1e160 instance every product of the basis length (5) that runs
+    # diag(1e160, 1e-170) twice leaves double range: the envelope constant
+    # is the norm bound's inf and the checks that multiply such products
+    # are skipped.  On the 1e10 instance round-robin's trajectory overflows
+    # within the default horizon, so its decay fit is undefined.
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    argv = [command, "--instance", str(path)] if command == "experiment" else [command, str(path)]
+    if policy is not None:
+        argv += ["--policy", policy, "--trials", "2", "--out", str(tmp_path / "exp")]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, "")
+    if command == "experiment":
+        certificate = json.loads((tmp_path / "exp" / "report.json").read_text())["certificate"]
+        assert (certificate["envelope_method"], certificate["envelope_constant"]) == ("norm-bound", None)
+
+
 def test_report_is_strict_json_when_a_trajectory_overflows(tmp_path, capsys):
     # Round-robin runs diag(1e10, 1e-11) twice in a row, so the trial's
     # norms reach inf: its fit and envelope margin are undefined (nan).
     path = tmp_path / "instance.json"
-    path.write_text(json.dumps({
-        "dim": 2,
-        "matrices": [[[1e10, 0], [0, 1e-11]], [[1e10, 0], [0, 1e-11]], [[1e-11, 0], [0, 1e10]]],
-    }))
+    path.write_text(json.dumps(_OVERFLOWING_TRAJECTORY))
     argv = ["experiment", "--instance", str(path), "--policy", "round-robin", "--trials", "1"]
     assert main(argv + ["--out", str(tmp_path / "exp")]) == EXIT_BOUND_VIOLATED
 

@@ -12,6 +12,7 @@ from swstab import (
     MatrixFamily,
     basis_length,
     build_graph,
+    capped_envelope,
     check_certificate,
     compute_constants,
     correction_bounds,
@@ -217,7 +218,7 @@ def _depth_first_profile(family, comb, horizon):
     return tuple(peaks), tuple(first_hits), tuple(walks), tuple(counts)
 
 
-@pytest.mark.parametrize("slice_size", [7, swstab.oracle.SLICE])
+@pytest.mark.parametrize("slice_size", [1, 7, swstab.oracle.SLICE])
 @pytest.mark.parametrize(
     "family, horizon",
     [
@@ -232,7 +233,8 @@ def _depth_first_profile(family, comb, horizon):
 )
 def test_batched_scan_equals_the_depth_first_scan(family, horizon, slice_size, monkeypatch):
     # Exact ==, at every horizon up to `horizon`, with slice boundaries
-    # falling inside every batch when the slice size is 7.
+    # falling inside every batch when the slice size is 7, and every batch
+    # the children of one product when it is 1.
     monkeypatch.setattr(swstab.oracle, "SLICE", slice_size)
     comb = find_stable_combination(family)
     for h in range(horizon + 1):
@@ -260,6 +262,22 @@ def test_envelope_profile_rejects_a_product_past_double_range(diag_comb):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="matrix entries must be finite"):
             envelope_profile(family, diag_comb, horizon=4)
+
+
+def test_capped_envelope_says_why_its_scan_fell_short(diag_comb):
+    # 1e60 ** 3 fits in a double and 1e60 ** 7 does not: the scan to 10
+    # steps overflows (or, under a cap of 100, outgrows it), and the basis
+    # of 4 steps alone gives the constant.  1e200 ** 2 overflows within the
+    # basis, so only the norm bound remains.
+    family = MatrixFamily((np.diag([1e60, 0.4]), np.diag([0.4, 1e60])))
+    c = envelope_constant(family, diag_comb, 0.1)
+    assert capped_envelope(family, diag_comb, 0.1, 10) == (c, "exhaustive", "products past double range")
+    assert capped_envelope(family, diag_comb, 0.1, 10, cap=100) == (c, "exhaustive", "enumeration cap")
+    family = MatrixFamily((np.diag([1e200, 0.4]), np.diag([0.4, 1e200])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = capped_envelope(family, diag_comb, 0.1)
+    assert got == (math.inf, "norm-bound", "products past double range")
 
 
 def test_signal_and_oracle_agree_on_the_step_order(
