@@ -5,9 +5,10 @@ arithmetic, the objects the certificate takes on faith: the exchange
 identity behind the commutator bookkeeping, the rewriting of an admissible
 product into (left part) * combination^m + correction, and the exponential
 envelope over every admissible product up to a horizon.  The envelope
-comes from one batched scan of the time-expanded switch graph: one
-gathered matmul and one batched SVD per batch of products, in slices of
-SLICE products, so its memory stays bounded.
+comes from one batched scan of the time-expanded switch graph, in slices
+of SLICE products, so its memory stays bounded: one gathered matmul per
+batch of products, a Frobenius-norm screen, and a batched SVD of the few
+products that screen keeps.
 """
 
 from __future__ import annotations
@@ -27,6 +28,12 @@ DEFAULT_ENUM_CAP = 10_000_000
 # Products of one duration the envelope scan expands together; a scan holds
 # at most about horizon * SLICE * (largest out-degree) products at once.
 SLICE = 1024
+# The envelope scan's norm screen: a relative allowance for rounding in the
+# Frobenius norm and the SVD (both err by a few 1e-16 at small d), and the
+# Frobenius norm below which a square may have fallen out of the normal
+# range (1e-308) and taken the norm out of that allowance.
+SCREEN_MARGIN = 1e-10
+SCREEN_TINY = 1e-145
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -165,8 +172,10 @@ def _scan(nodes: list, sizes: list, horizon: int):
 
     A batch is the children, in preorder, of one slice of at most SLICE
     products of the previous duration (the last node, the virtual root,
-    holds the empty product): one gathered matmul and one batched SVD.  A
-    slice's descendants are expanded before the next slice, so the scan
+    holds the empty product), made by one gathered matmul.  `_screen`
+    keeps the products that may raise the peak and tie the batch's
+    largest norm, and only those get the exact norm, from one batched SVD.
+    A slice's descendants are expanded before the next slice, so the scan
     holds one batch per duration and meets each duration's products in
     preorder.  Each product carries its preorder index and its parent's
     position in the batch before, from which a peak's walk is rebuilt.
@@ -200,20 +209,44 @@ def _scan(nodes: list, sizes: list, horizon: int):
         parent = np.repeat(np.arange(start, stop), out)
         # a child's edge: its parent's first edge plus its rank among siblings
         edge = first[node[parent]] + np.arange(len(parent)) - np.repeat(np.cumsum(out) - out, out)
-        batches[t + 1] = batch = (
-            mats[child[edge]] @ stack[parent],
-            child[edge],
-            index[parent] + skips[horizon - t - 1, edge],
-            parent,
-        )
-        norms = operator_norms(batch[0])
-        pos = int(np.argmax(norms))
-        if norms[pos] > peaks[t + 1]:
-            peaks[t + 1], first_hits[t + 1] = float(norms[pos]), int(batch[2][pos])
-            walks[t + 1] = _walk(nodes, batches, t + 1, pos)
+        kids = child[edge]
+        prods = mats[kids] @ stack[parent]
+        batches[t + 1] = (prods, kids, index[parent] + skips[horizon - t - 1, edge], parent)
+        keep = _screen(prods, peaks[t + 1])
+        if keep.any():
+            norms = operator_norms(prods[keep])
+            best = int(np.argmax(norms))
+            if norms[best] > peaks[t + 1]:
+                pos = int(np.flatnonzero(keep)[best])
+                peaks[t + 1], first_hits[t + 1] = float(norms[best]), int(batches[t + 1][2][pos])
+                walks[t + 1] = _walk(nodes, batches, t + 1, pos)
         if t + 1 < horizon:
             todo.append((t + 1, 0))
     return peaks, first_hits, walks
+
+
+def _screen(prods: np.ndarray, peak: float) -> np.ndarray:
+    """Which products of a (k, d, d) batch may raise `peak` and tie the
+    batch's largest norm, as a boolean mask.
+
+    sigma <= ||P||_F <= sqrt(d) * sigma bounds each product's norm by
+    lo <= sigma <= hi, widened by SCREEN_MARGIN for rounding.  A product
+    with hi <= peak cannot raise the peak, and one with hi below another's
+    lo cannot tie it, so the first largest norm among the survivors is the
+    first largest of the batch.  A nonzero product whose squares may have
+    left the normal range always survives and sets no lo.  A non-finite
+    entry anywhere in the batch raises NonFiniteMatrixError.
+    """
+    f = np.sqrt(np.einsum("kij,kij->k", prods, prods))
+    top = f.max()
+    if not (f.min() >= SCREEN_TINY and top < np.inf):
+        if not np.isfinite(prods).all():
+            raise NonFiniteMatrixError("matrix entries must be finite")
+        wild = ((f < SCREEN_TINY) | (f == np.inf)) & prods.any(axis=(1, 2))
+        top = f[~wild].max(initial=0.0)
+        f[wild] = np.inf
+    hi = f * (1.0 + SCREEN_MARGIN)
+    return (hi > peak) & (hi >= top * ((1.0 - SCREEN_MARGIN) / math.sqrt(prods.shape[1])))
 
 
 def _walk(nodes: list, batches: list, t: int, pos: int) -> tuple[int, ...]:
@@ -254,8 +287,8 @@ def envelope_profile(
         sizes.append([1 + sum(sizes[-1][c] for c in succ) for _, _, succ in nodes])
         if sizes[-1][-1] - 1 > cap:
             raise EnumerationCapExceeded(f"more than {cap} products up to horizon {horizon}")
-    # operator_norms refuses a product past double range; no overflow
-    # warning from its matmul precedes that error
+    # _screen refuses a product past double range; no overflow warning from
+    # the matmul, or from squares past double range, precedes that error
     with np.errstate(over="ignore"):
         peaks, first_hits, walks = _scan(nodes, sizes, horizon)
     return EnvelopeProfile(
@@ -391,15 +424,22 @@ def sound_certified_rate(
 
 def correction_bounds(inputs: CertificateInputs) -> tuple[int, float]:
     """A-priori bounds on `decompose_product`'s correction: at most
-    N*m*(m+1)/2 terms, each of norm at most M1^(m*N-1) * M2^(m-1) * eps."""
+    N*m*(m+1)/2 terms, each of norm at most M1^(m*N-1) * M2^(m-1) * eps.
+    The norm bound is 0 when eps is and inf when a power leaves double
+    range."""
     n, m = inputs.n_subsystems, inputs.contraction_power
     count = n * m * (m + 1) // 2
-    norm = (
-        count
-        * inputs.max_subsystem_norm ** (m * n - 1)
-        * inputs.combination_norm ** (m - 1)
-        * inputs.max_commutator_norm
-    )
+    if inputs.max_commutator_norm == 0.0:
+        return count, 0.0
+    try:
+        norm = (
+            count
+            * inputs.max_subsystem_norm ** (m * n - 1)
+            * inputs.combination_norm ** (m - 1)
+            * inputs.max_commutator_norm
+        )
+    except OverflowError:  # a float power past double range raises, not gives inf
+        norm = math.inf
     return count, norm
 
 

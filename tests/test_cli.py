@@ -410,6 +410,12 @@ _OVERFLOWING_TRAJECTORY = {
     "matrices": [[[1e10, 0], [0, 1e-11]], [[1e10, 0], [0, 1e-11]], [[1e-11, 0], [0, 1e10]]],
 }
 _CERT_PAST_DOUBLE_RANGE = "CERT lhs=0.99997697441416422 lambda=11.512913952044764 feasible=1\n"
+# Its products stay finite (A_1 @ A_2 = diag(1e-10, 1e-10)), but the
+# correction bound's power 1e160 ** 2 does not.
+_CORRECTION_BOUND_PAST_DOUBLE_RANGE = {
+    "dim": 2,
+    "matrices": [[[1e160, 0], [0, 1e-170]], [[1e-170, 0], [0, 1e160]], [[2, 0], [0, 2]]],
+}
 
 
 @pytest.mark.filterwarnings("error")
@@ -426,6 +432,16 @@ _CERT_PAST_DOUBLE_RANGE = "CERT lhs=0.99997697441416422 lambda=11.51291395204476
             + "exhaustive envelope check: SKIP (products past double range)\n"
             + "decomposition: SKIP (products past double range)\n",
         ),
+        (
+            _CORRECTION_BOUND_PAST_DOUBLE_RANGE,
+            "verify",
+            None,
+            _CERT_PAST_DOUBLE_RANGE
+            + "exchange identity residual: 0 PASS\n"
+            + "envelope constant: inf (norm-bound, basis length 5)\n"
+            + "exhaustive envelope check: SKIP (products past double range)\n"
+            + "decomposition: residual=0 terms=3 (bound 3) PASS\n",
+        ),
         (_PAST_DOUBLE_RANGE, "experiment", "uniform-random", _CERT_PAST_DOUBLE_RANGE),
         (_PAST_DOUBLE_RANGE, "experiment", "round-robin", _CERT_PAST_DOUBLE_RANGE),
         (
@@ -435,7 +451,13 @@ _CERT_PAST_DOUBLE_RANGE = "CERT lhs=0.99997697441416422 lambda=11.51291395204476
             "".join(f"trial {k}: fit undefined (norms past double range)\n" for k in range(2)),
         ),
     ],
-    ids=["verify", "experiment-uniform-random", "experiment-round-robin", "simulate-round-robin"],
+    ids=[
+        "verify",
+        "verify-correction-bound",
+        "experiment-uniform-random",
+        "experiment-round-robin",
+        "simulate-round-robin",
+    ],
 )
 def test_products_past_double_range_end_cleanly(instance, command, policy, out, tmp_path, capsys):
     # On the 1e160 instance every product of the basis length (5) that runs

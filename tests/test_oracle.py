@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from itertools import accumulate
@@ -28,8 +29,8 @@ from swstab import (
     sound_certified_rate,
     walk_to_signal,
 )
-from swstab.certificate import RATE_SAFETY
-from swstab.linalg import operator_norm, operator_norms
+from swstab.certificate import RATE_SAFETY, CertificateInputs
+from swstab.linalg import NonFiniteMatrixError, operator_norm, operator_norms
 
 
 def _reference_profile(family, comb, horizon):
@@ -100,21 +101,24 @@ def test_envelope_profile_small_case(diag_family, diag_comb):
     assert profile.walks == ((), (1,), (2, 3))
 
 
-def _count_norms(monkeypatch) -> list[int]:
-    """Patch the scan's batched norm to record how many products each call takes."""
+def _count_rows(monkeypatch, step: str) -> list[int]:
+    """Patch one step of the scan, `_screen` (which every product passes)
+    or `operator_norms` (the exact norms of the products the screen keeps),
+    to record how many products each call takes."""
     rows: list[int] = []
+    original = getattr(swstab.oracle, step)
 
-    def counting_norms(stack):
+    def counting(stack, *args):
         rows.append(len(stack))
-        return operator_norms(stack)
+        return original(stack, *args)
 
-    monkeypatch.setattr(swstab.oracle, "operator_norms", counting_norms)
+    monkeypatch.setattr(swstab.oracle, step, counting)
     return rows
 
 
 def test_envelope_profile_cap(diag_family, diag_comb, monkeypatch):
     # The cap is checked on the counts before any product is multiplied.
-    rows = _count_norms(monkeypatch)
+    rows = _count_rows(monkeypatch, "_screen")
     with pytest.raises(EnumerationCapExceeded):
         envelope_profile(diag_family, diag_comb, horizon=30, cap=100)
     with pytest.raises(EnumerationCapExceeded):
@@ -148,13 +152,18 @@ def test_bound_check_breaks_ties_by_preorder():
 def test_envelope_profile_counts_what_it_scans(
     diag_family, diag_comb, shear_family, shear_comb, monkeypatch
 ):
-    rows = _count_norms(monkeypatch)
+    # Every product passes the screen once; only the few that may raise or
+    # tie a peak go on to the exact norm.
+    screened = _count_rows(monkeypatch, "_screen")
+    normed = _count_rows(monkeypatch, "operator_norms")
     for family, comb in _reference_instances(
         diag_family, diag_comb, shear_family, shear_comb
     ):
-        rows.clear()
+        screened.clear()
+        normed.clear()
         profile = envelope_profile(family, comb, basis_length(family, comb) + 6)
-        assert sum(rows) == sum(profile.counts[1:])
+        assert sum(screened) == sum(profile.counts[1:])
+        assert sum(normed) < sum(screened)
 
 
 def test_oracle_agrees_with_brute_force_reference(
@@ -228,8 +237,13 @@ def _depth_first_profile(family, comb, horizon):
         (generate_random_instance(3, 4, seed=0), 14),  # block of 3 steps
         (generate_random_instance(2, 4, seed=0), 30),  # block of 9 steps
         (generate_random_instance(10, 2, seed=0), 7),
+        # rank one, so sigma = ||P||_F and only the screen's margin keeps a
+        # product whose SVD rounds above its Frobenius norm
+        (MatrixFamily((np.outer([1.0, 0.5], [1.25, 0.75]), np.outer([0.5, -1.5], [0.75, 1.0]))), 16),
+        # from 6 steps on every product's squares underflow, from 12 its entries
+        (MatrixFamily((np.diag([1.5, 1e-90]), np.diag([1e-90, 1.5]))), 14),
     ],
-    ids=["diagonal", "n2-d3", "n3-d4", "n2-d4", "n10-d2"],
+    ids=["diagonal", "n2-d3", "n3-d4", "n2-d4", "n10-d2", "rank-one", "underflow"],
 )
 def test_batched_scan_equals_the_depth_first_scan(family, horizon, slice_size, monkeypatch):
     # Exact ==, at every horizon up to `horizon`, with slice boundaries
@@ -247,10 +261,42 @@ def test_envelope_profile_holds_one_bounded_batch_at_a_time(diag_family, diag_co
     # Memory is bounded by the slice, not by the level: no batch is larger
     # than a slice times the largest out-degree, though the levels are.
     monkeypatch.setattr(swstab.oracle, "SLICE", 7)
-    rows = _count_norms(monkeypatch)
+    rows = _count_rows(monkeypatch, "_screen")
     profile = envelope_profile(diag_family, diag_comb, horizon=16)
     degree = max(len(succ) for _, _, succ in swstab.oracle._unit_step_nodes(diag_family, diag_comb))
     assert max(rows) <= 7 * degree < max(profile.counts)
+
+
+def test_screen_keeps_every_product_that_may_raise_the_peak():
+    # Against a peak one ulp below a product's computed norm, the product
+    # survives: rank one (about a third of these round their SVD above their
+    # Frobenius norm), generic, with squares that underflow or overflow.
+    rng = np.random.default_rng(0)
+    prods = [np.outer(*rng.normal(size=(2, 2))) for _ in range(50)]
+    prods += list(rng.normal(size=(50, 2, 2)))
+    prods += [np.diag([1.3e-162, 0.0]), np.diag([1e-170, 1e-200]), np.diag([1e200, 1e-200])]
+    for p in prods:
+        norm = operator_norms(p[None])[0]
+        assert swstab.oracle._screen(p[None], np.nextafter(norm, 0.0))[0], p
+    # The first product's squares overflow, so its Frobenius norm bounds
+    # nothing; the second's largest norm must not be held against it.
+    batch = np.stack([np.diag([1.2e154, 1.2e154]), np.diag([1.3e154, 0.0])])
+    assert swstab.oracle._screen(batch, 0.0).tolist() == [True, True]
+
+
+def test_screen_drops_products_that_cannot_raise_or_tie():
+    screen = swstab.oracle._screen
+    # A zero product can at most tie a peak of 0.
+    assert screen(np.zeros((3, 2, 2)), 0.0).tolist() == [False] * 3
+    # ||I||_F = sqrt(2) is below ||diag(4, 0)|| / sqrt(2): I cannot tie it.
+    batch = np.stack([np.eye(2), np.diag([4.0, 0.0]), np.diag([0.0, 4.0])])
+    assert screen(batch, 0.0).tolist() == [False, True, True]
+    assert screen(batch, 5.0).tolist() == [False, False, False]
+    # A non-finite entry anywhere in the batch is refused, never screened.
+    for bad in (np.nan, np.inf):
+        batch[0, 0, 0] = bad
+        with pytest.raises(NonFiniteMatrixError):
+            screen(batch, 5.0)
 
 
 def test_envelope_profile_rejects_a_product_past_double_range(diag_comb):
@@ -394,6 +440,18 @@ def test_decomposition_noncommuting_family(shear_family, shear_comb):
         assert operator_norm(dec.correction) <= norm_bound + 1e-9
         assert np.allclose(dec.main_term + dec.correction, dec.total, atol=1e-10)
     assert decompose_product(shear_family, shear_comb, [3, 3, 3, 1, 2, 1, 2, 1, 2]).starts_stable
+
+
+def test_correction_bounds_past_double_range():
+    # 1e160 ** 2 overflows a Python float power; the bound is then inf, and
+    # 0 whenever the commutators vanish (not 0 * inf = nan).
+    inputs = CertificateInputs(
+        n_subsystems=3, max_subsystem_norm=1e160, combination_norm=2.0,
+        max_commutator_norm=1.0, contraction_power=1, contraction_norm=0.5,
+        head_power=1, tail_power=1,
+    )
+    assert correction_bounds(inputs) == (3, math.inf)
+    assert correction_bounds(dataclasses.replace(inputs, max_commutator_norm=0.0)) == (3, 0.0)
 
 
 def test_decomposition_validates_segment(shear_family, shear_comb):
