@@ -237,8 +237,8 @@ def _depth_first_profile(family, comb, horizon):
         (generate_random_instance(3, 4, seed=0), 14),  # block of 3 steps
         (generate_random_instance(2, 4, seed=0), 30),  # block of 9 steps
         (generate_random_instance(10, 2, seed=0), 7),
-        # rank one, so sigma = ||P||_F and only the screen's margin keeps a
-        # product whose SVD rounds above its Frobenius norm
+        # rank one, so sigma = ||P||_F: the screen's upper bound is tight,
+        # and rounding can put the SVD above it
         (MatrixFamily((np.outer([1.0, 0.5], [1.25, 0.75]), np.outer([0.5, -1.5], [0.75, 1.0]))), 16),
         # from 6 steps on every product's squares underflow, from 12 its entries
         (MatrixFamily((np.diag([1.5, 1e-90]), np.diag([1e-90, 1.5]))), 14),
@@ -269,7 +269,7 @@ def test_envelope_profile_holds_one_bounded_batch_at_a_time(diag_family, diag_co
 
 def test_screen_keeps_every_product_that_may_raise_the_peak():
     # Against a peak one ulp below a product's computed norm, the product
-    # survives: rank one (about a third of these round their SVD above their
+    # survives: rank one (16 of these 50 round their SVD above their
     # Frobenius norm), generic, with squares that underflow or overflow.
     rng = np.random.default_rng(0)
     prods = [np.outer(*rng.normal(size=(2, 2))) for _ in range(50)]
