@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .family import MatrixFamily
 from .linalg import commutator, operator_norm
 from .search import StableCombination
@@ -87,9 +89,14 @@ class Certificate:
 def compute_constants(
     family: MatrixFamily, comb: StableCombination
 ) -> CertificateInputs:
-    """Measure the scalar constants of the certificate from the matrices."""
+    """Measure the scalar constants of the certificate from the matrices.
+
+    A commutator whose products leave double range has norm inf, at which
+    no rate is certified."""
     norms = [operator_norm(a) for a in family.subsystems]
-    comms = [operator_norm(commutator(a, comb.product)) for a in family.subsystems]
+    with np.errstate(over="ignore", invalid="ignore"):
+        comms = [commutator(a, comb.product) for a in family.subsystems]
+    comms = [operator_norm(e) if np.isfinite(e).all() else math.inf for e in comms]
     return CertificateInputs(
         n_subsystems=family.size,
         max_subsystem_norm=max(norms),

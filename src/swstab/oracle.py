@@ -87,18 +87,16 @@ class EnvelopeProfile:
 
     Index t runs over 0..horizon; t = 0 is the empty product (norm 1).
     ``peaks[t]`` is the largest ||P|| over the products of t steps,
-    ``first_hits[t]`` the depth-first preorder index of the first product
-    that reaches it and ``walks[t]`` that product's vertex walk (its last
-    vertex may be a combination block cut short); ``counts[t]`` is the
-    number of products of t steps.  No rate enters the scan: exp(rate*t)
-    is the same for every product of t steps, so each rate is applied when
-    the profile is read.
+    ``walks[t]`` the vertex walk of the first product, in depth-first
+    preorder, that reaches it (its last vertex may be a combination block
+    cut short); ``counts[t]`` is the number of products of t steps.  No
+    rate enters the scan: exp(rate*t) is the same for every product of t
+    steps, so each rate is applied when the profile is read.
     """
 
     basis: int
     block: int
     peaks: tuple[float, ...]
-    first_hits: tuple[int, ...]
     walks: tuple[tuple[int, ...], ...]
     counts: tuple[int, ...]
 
@@ -112,17 +110,18 @@ class EnvelopeProfile:
         """Largest ||product|| * exp(rate * t) / c over products of t <= horizon steps.
 
         The empty product contributes 1 / c.  Among products of equal value
-        the witness is the first one in preorder, where the empty product
-        comes first.
+        the witness is the first one in preorder, which is the order of
+        (walk, t): a product comes before its extensions, and the nodes
+        that open a vertex come in ascending vertex order.
         """
         horizon = self.horizon if horizon is None else horizon
         if not 0 <= horizon <= self.horizon:
             raise ValueError(f"horizon {horizon} outside the profile's 0..{self.horizon}")
         best, t_best = 1.0, 0
         for t in range(1, horizon + 1):
-            value = self.peaks[t] * math.exp(rate * t)
+            value = _times_exp(self.peaks[t], rate * t)
             if value > best or (
-                value == best and self.first_hits[t] < self.first_hits[t_best]
+                value == best and (self.walks[t], t) < (self.walks[t_best], t_best)
             ):
                 best, t_best = value, t
         return BoundCheck(
@@ -134,14 +133,27 @@ class EnvelopeProfile:
 
     def sound_rate(self) -> float | None:
         """The rate of `sound_certified_rate`, read from the windows of basis
-        to basis+block-1 steps; the profile must reach that far."""
+        to basis+block-1 steps; the profile must reach that far.  A window
+        whose products all vanish sets no bound."""
         windows = self.peaks[self.basis : self.basis + self.block]
         if len(windows) < self.block:
             raise ValueError(f"profile horizon {self.horizon} < {self.basis + self.block - 1}")
         if max(windows) >= 1.0:
             return None
-        rate = min(-math.log(norm) / t for t, norm in enumerate(windows, start=self.basis))
-        return rate * (1.0 - RATE_SAFETY)
+        rates = [-math.log(norm) / t for t, norm in enumerate(windows, start=self.basis) if norm > 0.0]
+        return min(rates, default=math.inf) * (1.0 - RATE_SAFETY)
+
+
+def _times_exp(x: float, y: float) -> float:
+    """x * exp(y) for a finite x >= 0: exactly that while exp(y) fits in a
+    double, and past that in log space, inf only when the value itself
+    leaves double range."""
+    if y <= 709.0:
+        return x * math.exp(y)
+    try:
+        return math.exp(math.log(x) + y) if x > 0.0 else 0.0
+    except OverflowError:
+        return math.inf
 
 
 def _unit_step_nodes(family: MatrixFamily, comb: StableCombination) -> list:
@@ -166,9 +178,9 @@ def _unit_step_nodes(family: MatrixFamily, comb: StableCombination) -> list:
     return nodes
 
 
-def _scan(nodes: list, sizes: list, horizon: int):
-    """Largest ||product|| at each duration 0..horizon, with the preorder
-    index and the vertex walk of the first product reaching it.
+def _scan(nodes: list, horizon: int):
+    """Largest ||product|| at each duration 0..horizon, with the vertex walk
+    of the first product, in preorder, reaching it.
 
     A batch is the children, in preorder, of one slice of at most SLICE
     products of the previous duration (the last node, the virtual root,
@@ -177,11 +189,10 @@ def _scan(nodes: list, sizes: list, horizon: int):
     largest norm, and only those get the exact norm, from one batched SVD.
     A slice's descendants are expanded before the next slice, so the scan
     holds one batch per duration and meets each duration's products in
-    preorder.  Each product carries its preorder index and its parent's
-    position in the batch before, from which a peak's walk is rebuilt.
+    preorder.  Each product carries its parent's position in the batch
+    before, from which a peak's walk is rebuilt.
     """
     peaks = [1.0] + [0.0] * horizon
-    first_hits = [0] * (horizon + 1)
     walks: list[tuple[int, ...]] = [()] * (horizon + 1)
     # Node n's successors are the edges first[n] .. first[n]+degree[n]-1;
     # edge e leads to node child[e].
@@ -189,19 +200,13 @@ def _scan(nodes: list, sizes: list, horizon: int):
     degree = np.array([len(succ) for _, _, succ in nodes])
     first = np.cumsum(degree) - degree
     child = np.array([c for _, _, succ in nodes for c in succ])
-    # skips[r, e]: preorder distance along edge e to a child that may grow
-    # r more steps: 1 plus the subtree sizes of its earlier siblings.
-    below = np.array(sizes)[:, child]
-    before = np.cumsum(below, axis=1) - below
-    skips = 1 + before - np.repeat(before[:, first], degree, axis=1)
-    # batches[t]: (products, nodes, preorder indices, parent positions) of
-    # the batch of duration t being expanded.
-    batches = [(mats[-1:], np.array([len(nodes) - 1]), np.zeros(1, np.int64), None)]
-    batches += [None] * horizon
+    # batches[t]: (products, nodes, parent positions) of the batch of
+    # duration t being expanded.
+    batches = [(mats[-1:], np.array([len(nodes) - 1]), None)] + [None] * horizon
     todo = [(0, 0)] if horizon > 0 else []
     while todo:
         t, start = todo.pop()
-        stack, node, index, _ = batches[t]
+        stack, node, _ = batches[t]
         stop = min(start + SLICE, len(node))
         if stop < len(node):
             todo.append((t, stop))
@@ -211,18 +216,17 @@ def _scan(nodes: list, sizes: list, horizon: int):
         edge = first[node[parent]] + np.arange(len(parent)) - np.repeat(np.cumsum(out) - out, out)
         kids = child[edge]
         prods = mats[kids] @ stack[parent]
-        batches[t + 1] = (prods, kids, index[parent] + skips[horizon - t - 1, edge], parent)
+        batches[t + 1] = (prods, kids, parent)
         keep = _screen(prods, peaks[t + 1])
         if keep.any():
             norms = operator_norms(prods[keep])
             best = int(np.argmax(norms))
             if norms[best] > peaks[t + 1]:
-                pos = int(np.flatnonzero(keep)[best])
-                peaks[t + 1], first_hits[t + 1] = float(norms[best]), int(batches[t + 1][2][pos])
-                walks[t + 1] = _walk(nodes, batches, t + 1, pos)
+                peaks[t + 1] = float(norms[best])
+                walks[t + 1] = _walk(nodes, batches, t + 1, int(np.flatnonzero(keep)[best]))
         if t + 1 < horizon:
             todo.append((t + 1, 0))
-    return peaks, first_hits, walks
+    return peaks, walks
 
 
 def _screen(prods: np.ndarray, peak: float) -> np.ndarray:
@@ -253,7 +257,7 @@ def _walk(nodes: list, batches: list, t: int, pos: int) -> tuple[int, ...]:
     """The vertex walk of the product at `pos` in the batch of duration t."""
     walk = []
     for s in range(t, 0, -1):
-        _, node, _, parent = batches[s]
+        _, node, parent = batches[s]
         if nodes[node[pos]][1] is not None:
             walk.append(nodes[node[pos]][1])
         pos = parent[pos]
@@ -279,25 +283,24 @@ def envelope_profile(
     # nodes that open a vertex.
     roots = [n for n, (_, opens, _) in enumerate(nodes) if opens is not None]
     nodes.append((np.eye(family.dim), None, roots))
-    # sizes[r][n]: products in the subtree of a product at node n that may
-    # grow r more steps, itself included.  The root's column counts the
-    # products of 1..r steps, plus the empty one.
-    sizes = [[1] * len(nodes)]
+    # reach[n]: products of exactly t more steps that grow from a product
+    # at node n; the root's counts the products of t steps.
+    reach, counts = [1] * len(nodes), [1]
     for _ in range(horizon):
-        sizes.append([1 + sum(sizes[-1][c] for c in succ) for _, _, succ in nodes])
-        if sizes[-1][-1] - 1 > cap:
+        reach = [sum(reach[c] for c in succ) for _, _, succ in nodes]
+        counts.append(reach[-1])
+        if sum(counts) - 1 > cap:
             raise EnumerationCapExceeded(f"more than {cap} products up to horizon {horizon}")
     # _screen refuses a product past double range; no overflow warning from
     # the matmul, or from squares past double range, precedes that error
     with np.errstate(over="ignore"):
-        peaks, first_hits, walks = _scan(nodes, sizes, horizon)
+        peaks, walks = _scan(nodes, horizon)
     return EnvelopeProfile(
         basis=basis_length(family, comb),
         block=comb.block_duration,
         peaks=tuple(peaks),
-        first_hits=tuple(first_hits),
         walks=tuple(walks),
-        counts=(1,) + tuple(b[-1] - a[-1] for a, b in zip(sizes, sizes[1:])),
+        counts=tuple(counts),
     )
 
 
@@ -354,8 +357,9 @@ def capped_envelope(
     cap: int = DEFAULT_ENUM_CAP,
 ) -> tuple[float, str, EnvelopeProfile | str]:
     """The envelope constant at `rate`, its method, and the profile to
-    `horizon` or why there is none ("enumeration cap" or "products past
-    double range").
+    `horizon` or why there is none: "enumeration cap", "products past
+    double range", or "envelope constant past double range" (an inf
+    constant, to which no ratio is defined).
 
     One scan to `horizon` (default and minimum: the basis length), or to
     the basis alone when that fails, gives the exhaustive constant over
@@ -372,7 +376,10 @@ def capped_envelope(
         except NonFiniteMatrixError:
             reason = reason or "products past double range"
         else:
-            return profile.bound_check(rate, horizon=basis).max_ratio, "exhaustive", reason or profile
+            c = profile.bound_check(rate, horizon=basis).max_ratio
+            if c == math.inf:
+                reason = reason or "envelope constant past double range"
+            return c, "exhaustive", reason or profile
     return envelope_constant_bound(family, comb, rate), "norm-bound", reason
 
 
@@ -407,7 +414,7 @@ def sound_certified_rate(
     a vertex boundary and lasts t in [L, L+B-1] steps (windows ending
     mid-way through a combination block included), shrunk by RATE_SAFETY.
     None means some such window has ||W|| >= 1, so no positive rate
-    follows.
+    follows; math.inf means every such window is 0, so every rate holds.
 
     Induction: with c = envelope_constant(family, comb, r) at its default
     horizon L, ||P_t|| <= c * exp(-r*t) holds for t <= L by definition of

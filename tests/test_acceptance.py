@@ -172,9 +172,9 @@ def test_criterion_3_scans_each_instance_once(certified_small, monkeypatch):
     scans = []
     scan = sw.oracle._scan
 
-    def counting_scan(nodes, dim, horizon):
+    def counting_scan(nodes, horizon):
         scans.append(horizon)
-        return scan(nodes, dim, horizon)
+        return scan(nodes, horizon)
 
     monkeypatch.setattr(sw.oracle, "_scan", counting_scan)
     for family, comb, cert in certified_small:

@@ -148,9 +148,9 @@ def test_verify_scans_the_envelope_once(diag_instance, capsys, monkeypatch):
     scans = []
     scan = swstab.oracle._scan
 
-    def counting_scan(nodes, dim, horizon):
+    def counting_scan(nodes, horizon):
         scans.append(horizon)
-        return scan(nodes, dim, horizon)
+        return scan(nodes, horizon)
 
     monkeypatch.setattr(swstab.oracle, "_scan", counting_scan)
     assert main(["verify", diag_instance]) == EXIT_BOUND_VIOLATED
@@ -333,7 +333,7 @@ def test_cli_fuzz_ends_in_a_documented_exit_code(fuzz_dir, case):
     assert _exit_code(argv) in {0, 2, 3, 4, 5, 64}
 
 
-_ENTRIES = st.sampled_from([-2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2])
+_ENTRIES = st.sampled_from([-2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2, 1e-100, -1e-100, 1e100, 1e-300])
 _INSTANCES = st.integers(1, 3).flatmap(
     lambda dim: st.lists(
         st.lists(st.lists(_ENTRIES, min_size=dim, max_size=dim), min_size=dim, max_size=dim),
@@ -476,6 +476,128 @@ def test_products_past_double_range_end_cleanly(instance, command, policy, out, 
     if command == "experiment":
         certificate = json.loads((tmp_path / "exp" / "report.json").read_text())["certificate"]
         assert (certificate["envelope_method"], certificate["envelope_constant"]) == ("norm-bound", None)
+
+
+_COMMUTATOR_PAST_DOUBLE_RANGE = {"dim": 2, "matrices": [[[1e100, 1e-300], [1e100, -1e-100]], [[1, -1], [0.5, -2]]]}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["certify", "verify", "experiment"])
+def test_commutator_past_double_range_certifies_nothing(command, tmp_path, capsys):
+    # The combination A_2 A_1^3 is finite (its norm is 1.5e300), but A_1
+    # times it is not, so the commutator norm is inf and no rate holds.
+    assert _run_instance(tmp_path, _COMMUTATOR_PAST_DOUBLE_RANGE, command) == EXIT_INFEASIBLE
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.endswith("CERT lhs=inf lambda=0 feasible=0\n")
+    if command == "certify":
+        assert "C_norm=1.5000000000000001e+300 comm=inf\n" in captured.out
+    if command == "experiment":
+        report = json.loads((tmp_path / "exp" / "report.json").read_text())
+        assert report["constants"]["max_commutator_norm"] is None
+
+
+def _tiny_norm_pair(eps):
+    return {"dim": 2, "matrices": [[[2, 0], [0, eps]], [[eps, 0], [0, 2]]]}
+
+
+_CERT_1E100 = "CERT lhs=0.99977046098598754 lambda=114.78256627674125 feasible=1\n"
+_CERT_1E300 = "CERT lhs=0.99931015567137282 lambda=345.04084531763652 feasible=1\n"
+_CHECKS_TO_BASIS = "exchange identity residual: 0 PASS\n"
+_DECOMPOSITION = "decomposition: residual=0 terms=2 (bound 2) PASS\n"
+_NO_EXTRA = "exhaustive envelope check: SKIP (no lengths past the basis)\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "instance, argv, code, out, constant",
+    [
+        (
+            _tiny_norm_pair(1e-100),
+            ["verify"],
+            EXIT_BOUND_VIOLATED,
+            _CERT_1E100
+            + _CHECKS_TO_BASIS
+            + "envelope constant: 1.9995409219719751e+100 (exhaustive, basis length 4)\n"
+            + "exhaustive envelope check to length 10: "
+            + "max_ratio=1.9986230820206691e+100 (191 products) FAIL\n"
+            + _DECOMPOSITION,
+            None,
+        ),
+        (
+            _tiny_norm_pair(1e-100),
+            ["verify", "--extra", "0"],
+            EXIT_OK,
+            _CERT_1E100
+            + _CHECKS_TO_BASIS
+            + "envelope constant: 1.9995409219719751e+100 (exhaustive, basis length 4)\n"
+            + _NO_EXTRA
+            + _DECOMPOSITION,
+            None,
+        ),
+        (
+            _tiny_norm_pair(1e-300),
+            ["verify"],
+            EXIT_BOUND_VIOLATED,
+            _CERT_1E300
+            + _CHECKS_TO_BASIS
+            + "envelope constant: 1.998620311342746e+300 (exhaustive, basis length 4)\n"
+            + "exhaustive envelope check to length 10: max_ratio=inf (191 products) FAIL\n"
+            + _DECOMPOSITION,
+            None,
+        ),
+        (
+            _tiny_norm_pair(1e-300),
+            ["verify", "--extra", "0"],
+            EXIT_OK,
+            _CERT_1E300
+            + _CHECKS_TO_BASIS
+            + "envelope constant: 1.998620311342746e+300 (exhaustive, basis length 4)\n"
+            + _NO_EXTRA
+            + _DECOMPOSITION,
+            None,
+        ),
+        (_tiny_norm_pair(1e-300), ["experiment"], EXIT_OK, _CERT_1E300, 1.998620311342746e300),
+        (
+            {"dim": 1, "matrices": [[[1e100]], [[-1e-100]], [[-2]]]},
+            ["verify"],
+            EXIT_OK,
+            _CERT_1E100
+            + _CHECKS_TO_BASIS
+            + "envelope constant: inf (exhaustive, basis length 5)\n"
+            + "exhaustive envelope check: SKIP (envelope constant past double range)\n"
+            + "decomposition: residual=0 terms=3 (bound 3) PASS\n",
+            None,
+        ),
+    ],
+    ids=[
+        "1e-100-verify",
+        "1e-100-verify-extra-0",
+        "1e-300-verify",
+        "1e-300-verify-extra-0",
+        "1e-300-experiment",
+        "inf-constant-verify",
+    ],
+)
+def test_tiny_norm_combination_ends_cleanly(instance, argv, code, out, constant, tmp_path, capsys):
+    # The combination's norm is about 2 * eps, so the certified rate is
+    # large enough that exp(rate * t) leaves double range within the
+    # horizon.  On the 1e-100 pair the envelope holds over the basis with
+    # c = 2e100 but not past it, an over-claim the check reports; on the
+    # 1e-300 pair the scaled norms past the basis leave double range; in
+    # one dimension the constant itself does, and no ratio to it is defined.
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(instance))
+    if argv == ["experiment"]:
+        argv = argv + ["--instance", str(path), "--out", str(tmp_path / "exp")]
+    else:
+        argv = [argv[0], str(path), *argv[1:]]
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (out, "")
+    if constant is not None:
+        certificate = json.loads((tmp_path / "exp" / "report.json").read_text())["certificate"]
+        assert (certificate["envelope_method"], certificate["envelope_constant"]) == ("exhaustive", constant)
 
 
 def test_report_is_strict_json_when_a_trajectory_overflows(tmp_path, capsys):

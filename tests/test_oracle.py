@@ -93,11 +93,11 @@ def test_exchange_identity_accepts_plain_matrix(shear_family):
 def test_envelope_profile_small_case(diag_family, diag_comb):
     # Hand-enumerated to 2 steps; the hub (vertex 3) is A2 then A1.
     # t=1: A1, A2, A2 (hub cut short); t=2: (1,2), (1,3 cut), (2,3 cut)
-    # and the whole hub block, in that preorder (indices 2, 3, 5, 7).
+    # and the whole hub block, in that preorder.  A1 first reaches 1.2,
+    # and (2,3 cut) = A2 A2 first reaches 1.44.
     profile = envelope_profile(diag_family, diag_comb, horizon=2)
     assert profile.counts == (1, 3, 4)
     assert profile.peaks == pytest.approx((1.0, 1.2, 1.44), rel=1e-15)
-    assert profile.first_hits == (0, 1, 5)
     assert profile.walks == ((), (1,), (2, 3))
 
 
@@ -132,21 +132,44 @@ def test_envelope_profile_cap_allows_exactly_cap_products(diag_family, diag_comb
 
 
 def test_bound_check_breaks_ties_by_preorder():
-    # At rate 0 durations 1 and 2 tie; the product of duration 2 comes
-    # first in preorder, so it is the witness a first-hit scan reports.
+    # At rate 0 durations 1 and 2 tie; the walk (1, 2) sorts before (3,),
+    # so the product of duration 2 comes first in preorder and is the
+    # witness a first-hit scan reports.
     profile = EnvelopeProfile(
-        basis=1, block=1, peaks=(1.0, 2.0, 2.0), first_hits=(0, 5, 3),
-        walks=((), (3,), (1, 2)), counts=(1, 3, 4),
+        basis=1, block=1, peaks=(1.0, 2.0, 2.0), walks=((), (3,), (1, 2)), counts=(1, 3, 4),
     )
     check = profile.bound_check(0.0)
     assert (check.max_ratio, check.witness_walk, check.witness_time) == (2.0, (1, 2), 2)
-    # A product that only ties the empty product's 1 is no witness.
-    flat = EnvelopeProfile(
-        basis=1, block=1, peaks=(1.0, 1.0), first_hits=(0, 1), walks=((), (1,)),
-        counts=(1, 3),
+    # Durations 2 and 3 tie on one walk, the hub cut short after its first
+    # step and after its second: the shorter product is the longer one's
+    # parent, so it comes first.
+    same_walk = EnvelopeProfile(
+        basis=1, block=2, peaks=(1.0, 1.5, 2.0, 2.0), walks=((), (1,), (1, 3), (1, 3)),
+        counts=(1, 3, 4, 6),
     )
+    check = same_walk.bound_check(0.0)
+    assert (check.max_ratio, check.witness_walk, check.witness_time) == (2.0, (1, 3), 2)
+    # A product that only ties the empty product's 1 is no witness.
+    flat = EnvelopeProfile(basis=1, block=1, peaks=(1.0, 1.0), walks=((), (1,)), counts=(1, 3))
     check = flat.bound_check(0.0)
     assert (check.max_ratio, check.witness_walk, check.witness_time) == (1.0, (), 0)
+
+
+def test_bound_check_past_exp_range():
+    # exp(rate * t) leaves double range from rate * t = 710 on; the value
+    # peak * exp(rate * t) is then taken in log space: 0 for a zero peak,
+    # finite while it fits in a double, and inf only past that.
+    profile = EnvelopeProfile(
+        basis=1, block=1, peaks=(1.0, 1e-300, 0.0, 1e-300), walks=((), (1,), (), (1, 2, 1)),
+        counts=(1, 2, 2, 2),
+    )
+    check = profile.bound_check(400.0, 2.0)
+    assert check.max_ratio == math.exp(math.log(1e-300) + 1200.0) / 2.0
+    assert (check.witness_walk, check.witness_time) == ((1, 2, 1), 3)
+    check = profile.bound_check(400.0, 2.0, horizon=2)
+    assert (check.max_ratio, check.witness_walk, check.witness_time) == (0.5, (), 0)
+    check = profile.bound_check(500.0)
+    assert (check.max_ratio, check.witness_walk, check.witness_time) == (math.inf, (1, 2, 1), 3)
 
 
 def test_envelope_profile_counts_what_it_scans(
@@ -190,14 +213,15 @@ def test_oracle_agrees_with_brute_force_reference(
         if max(windows) >= 1.0:
             assert sound is None
         else:
-            expected = min(-math.log(w) / t for t, w in enumerate(windows, start=basis))
+            expected = min(-math.log(w) / t for t, w in enumerate(windows, start=basis) if w > 0)
             assert sound == pytest.approx(expected * (1 - RATE_SAFETY), rel=1e-12)
 
 
 def _depth_first_profile(family, comb, horizon):
-    """Peaks, first hits, walks and counts from a frozen copy of the
-    depth-first scan the batched one replaced: one product and one SVD at
-    a time, in preorder, keeping the first product that beats the peak."""
+    """Peaks, first hits (preorder indices), walks and counts from a frozen
+    copy of the depth-first scan the batched one replaced: one product and
+    one SVD at a time, in preorder, keeping the first product that beats
+    the peak."""
     nodes = swstab.oracle._unit_step_nodes(family, comb)
     peaks = [1.0] + [0.0] * horizon
     first_hits = [0] * (horizon + 1)
@@ -227,8 +251,7 @@ def _depth_first_profile(family, comb, horizon):
     return tuple(peaks), tuple(first_hits), tuple(walks), tuple(counts)
 
 
-@pytest.mark.parametrize("slice_size", [1, 7, swstab.oracle.SLICE])
-@pytest.mark.parametrize(
+_EQUALITY_FAMILIES = pytest.mark.parametrize(
     "family, horizon",
     [
         # commuting, so many products tie exactly and the preorder rule decides
@@ -245,6 +268,21 @@ def _depth_first_profile(family, comb, horizon):
     ],
     ids=["diagonal", "n2-d3", "n3-d4", "n2-d4", "n10-d2", "rank-one", "underflow"],
 )
+
+
+@_EQUALITY_FAMILIES
+def test_walk_order_is_preorder(family, horizon):
+    # bound_check breaks ties between durations by (walk, t); on the
+    # reference scan that orders the first hits as their preorder indices
+    # do.  A duration whose products all vanish has no first hit.
+    comb = find_stable_combination(family)
+    peaks, first_hits, walks, _ = _depth_first_profile(family, comb, horizon)
+    hit = [t for t in range(horizon + 1) if peaks[t] > 0.0]
+    assert sorted(hit, key=lambda t: first_hits[t]) == sorted(hit, key=lambda t: (walks[t], t))
+
+
+@pytest.mark.parametrize("slice_size", [1, 7, swstab.oracle.SLICE])
+@_EQUALITY_FAMILIES
 def test_batched_scan_equals_the_depth_first_scan(family, horizon, slice_size, monkeypatch):
     # Exact ==, at every horizon up to `horizon`, with slice boundaries
     # falling inside every batch when the slice size is 7, and every batch
@@ -253,8 +291,8 @@ def test_batched_scan_equals_the_depth_first_scan(family, horizon, slice_size, m
     comb = find_stable_combination(family)
     for h in range(horizon + 1):
         profile = envelope_profile(family, comb, h)
-        got = (profile.peaks, profile.first_hits, profile.walks, profile.counts)
-        assert got == _depth_first_profile(family, comb, h)
+        peaks, _, walks, counts = _depth_first_profile(family, comb, h)
+        assert (profile.peaks, profile.walks, profile.counts) == (peaks, walks, counts)
 
 
 def test_envelope_profile_holds_one_bounded_batch_at_a_time(diag_family, diag_comb, monkeypatch):
@@ -406,6 +444,21 @@ def test_sound_certified_rate_diagonal_value(diag_family, diag_comb):
 
 def test_sound_certified_rate_none_for_shear(shear_family, shear_comb):
     assert sound_certified_rate(shear_family, shear_comb) is None
+
+
+def test_sound_rate_skips_vanishing_windows():
+    # A1 @ A2 = 0: of the windows of 4 and 5 steps, every product of 5
+    # vanishes, and -ln 0 = inf bounds nothing; the window of 4 binds.
+    family = MatrixFamily((np.array([[-1.0, 0.0], [0.5, 0.0]]), np.array([[0.0, 0.0], [0.0, -1.0]])))
+    comb = find_stable_combination(family)
+    assert (basis_length(family, comb), comb.block_duration) == (4, 2)
+    expected = -math.log(0.5) / 4 * (1 - RATE_SAFETY)
+    assert sound_certified_rate(family, comb) == pytest.approx(expected, rel=1e-12)
+    # When every window vanishes, every rate holds.
+    profile = EnvelopeProfile(
+        basis=2, block=2, peaks=(1.0, 2.0, 0.0, 0.0), walks=((), (1,), (), ()), counts=(1, 3, 4, 6),
+    )
+    assert profile.sound_rate() == math.inf
 
 
 def test_envelope_holds_at_sound_rate_past_basis(diag_family, diag_comb):
