@@ -31,14 +31,13 @@ def main() -> None:
           f"A{comb.tail}^{comb.tail_power}, contraction power "
           f"m={comb.contraction_power}, norm rho={comb.contraction_norm}")
 
-    inputs = sw.compute_constants(family, comb)
-    best = sw.max_certified_rate(inputs)
-    print(f"max commutator norm: {inputs.max_commutator_norm} (the pair commutes)")
-    print(f"supremum certified rate: {best:.12f}  "
-          f"(closed form -ln(0.48)/2 = {-math.log(0.48) / 2:.12f})")
-    print(f"certificate LHS at rate 0.3: {sw.certificate_lhs(inputs, 0.3):.12f}")
-
     cert = sw.check_certificate(family, comb)
+    print(f"max commutator norm: {cert.inputs.max_commutator_norm} (the pair commutes)")
+    print(f"supremum certified rate: {cert.max_rate:.12f}  "
+          f"(closed form -ln(0.48)/2 = {-math.log(0.48) / 2:.12f})")
+    print("certificate LHS at rate 0.3: "
+          f"{sw.check_certificate(family, comb, 0.3).lhs_value:.12f}")
+
     print(f"issued certificate: rate={cert.rate:.9f} lhs={cert.lhs_value:.9f} "
           f"feasible={cert.feasible}")
 

@@ -14,7 +14,6 @@ from .certificate import (
     AssumptionError,
     Certificate,
     CertificateInputs,
-    certificate_lhs,
     check_certificate,
     compute_constants,
     max_certified_rate,

@@ -77,9 +77,13 @@ class CertificateInputs:
 
 @dataclass(frozen=True)
 class Certificate:
-    """Outcome of the feasibility check at one decay rate."""
+    """Outcome of the feasibility check at one decay rate, with the
+    constants it was evaluated on and the supremum certified rate (None
+    when the inequality fails at rate 0)."""
 
+    inputs: CertificateInputs
     rate: float
+    max_rate: float | None
     lhs_value: float
     feasible: bool
     margin: float  # 1 - lhs_value
@@ -138,19 +142,6 @@ def _lhs_terms(inputs: CertificateInputs, rate: float) -> tuple[float, float]:
     return term1, math.exp(log_term2)
 
 
-def certificate_lhs(inputs: CertificateInputs, rate: float) -> float:
-    """Evaluate the certificate's left-hand side at the given decay rate.
-
-    Raises OverflowError if an exponential leaves double range.
-    """
-    if rate < 0.0:
-        raise ValueError("decay rate must be nonnegative")
-    term1, term2 = _lhs_terms(inputs, rate)
-    if math.isinf(term1) or math.isinf(term2):
-        raise OverflowError("certificate value exceeds double-precision range")
-    return term1 + term2
-
-
 def rate_upper_limit(inputs: CertificateInputs) -> float:
     """Largest rate allowed by the contraction condition alone.
 
@@ -199,8 +190,8 @@ def check_certificate(
     `swstab.oracle.sound_certified_rate` for that.
     """
     inputs = compute_constants(family, comb)
+    best = max_certified_rate(inputs)
     if rate is None:
-        best = max_certified_rate(inputs)
         rate = 0.0 if best is None else best * (1.0 - RATE_SAFETY)
     elif rate <= 0.0:
         raise ValueError("decay rate must be positive")
@@ -212,7 +203,9 @@ def check_certificate(
     contraction_ok = term1 < 1.0
     feasible = rate > 0.0 and (lhs <= 1.0 or boundary) and contraction_ok
     return Certificate(
+        inputs=inputs,
         rate=rate,
+        max_rate=best,
         lhs_value=lhs,
         feasible=feasible,
         margin=margin,

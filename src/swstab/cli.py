@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .certificate import AssumptionError, check_certificate, compute_constants, max_certified_rate
+from .certificate import AssumptionError, check_certificate
 from .family import MatrixFamily
 from .graph import POLICIES, build_graph, generate_walk, walk_for_horizon, walk_to_signal
 from .instances import InstanceParseError, generate_random_instance, parse_instance, write_instance
@@ -135,23 +135,22 @@ def cmd_analyze(args) -> int:
 
 def cmd_certify(args) -> int:
     family, comb = _load_and_search(args)
-    inputs = compute_constants(family, comb)
     cert = check_certificate(family, comb, _rate_arg(args))
-    best = max_certified_rate(inputs)
+    inputs = cert.inputs
     print(
         f"constants: M_norm={_fmt(inputs.max_subsystem_norm)} "
         f"C_norm={_fmt(inputs.combination_norm)} "
         f"comm={_fmt(inputs.max_commutator_norm)}"
     )
-    if best is not None:
-        print(f"max certified rate: {_fmt(best)}")
+    if cert.max_rate is not None:
+        print(f"max certified rate: {_fmt(cert.max_rate)}")
     print(_cert_line(cert))
     return EXIT_OK if cert.feasible else EXIT_INFEASIBLE
 
 
 def cmd_signal(args) -> int:
     family, comb = _load_and_search(args)
-    graph = build_graph(family.size, args.allow_stable_self_loop)
+    graph = build_graph(family.size)
     walk = generate_walk(graph, args.policy, args.steps, seed=args.seed, partner=args.partner)
     signal = walk_to_signal(graph, walk, comb)
     signal.write_csv(args.out)
@@ -163,7 +162,7 @@ def _schedule_and_trials(family, comb, args, out: Path, partner: int = 1):
     """The run's seeded schedule, written to `out` as signal.csv, and its
     trials; returns the walk, the signal and an iterator that simulates
     one trial at a time and writes its norms_XXX.csv."""
-    graph = build_graph(family.size, args.allow_stable_self_loop)
+    graph = build_graph(family.size)
     walk = walk_for_horizon(graph, comb, args.policy, args.seed, args.horizon, partner)
     signal = walk_to_signal(graph, walk, comb)
     out.mkdir(parents=True, exist_ok=True)
@@ -205,8 +204,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_verify(args) -> int:
     family, comb = _load_and_search(args)
-    inputs = compute_constants(family, comb)
     cert = check_certificate(family, comb, _rate_arg(args))
+    inputs = cert.inputs
     print(_cert_line(cert))
     if not cert.feasible:
         return EXIT_INFEASIBLE
@@ -280,7 +279,7 @@ def cmd_experiment(args) -> int:
             "policy": args.policy,
             "horizon": args.horizon,
             "trials": args.trials,
-            "allow_stable_self_loop": args.allow_stable_self_loop,
+            "allow_stable_self_loop": False,  # the graph has no hub self-loop
         },
         "assumption_violations": assert_all_unstable(family),
     }
@@ -294,20 +293,19 @@ def cmd_experiment(args) -> int:
     report["combination"] = _combination_dict(comb)
 
     try:
-        inputs = compute_constants(family, comb)
+        cert = check_certificate(family, comb, _rate_arg(args))
     except AssumptionError:
         _write_report(out, report)
         raise
+    inputs = cert.inputs
     report["constants"] = {
         "max_subsystem_norm": inputs.max_subsystem_norm,
         "combination_norm": inputs.combination_norm,
         "max_commutator_norm": inputs.max_commutator_norm,
     }
-    cert = check_certificate(family, comb, _rate_arg(args))
-    best = max_certified_rate(inputs)
     cert_dict = {
         "rate": cert.rate,
-        "max_rate": best,
+        "max_rate": cert.max_rate,
         "lhs": cert.lhs_value,
         "feasible": cert.feasible,
         "margin": cert.margin,
@@ -426,11 +424,10 @@ _FLAGS = {
     "--horizon": dict(type=_at_least(1), default=200),
     "--trials": dict(type=_at_least(0), default=100),
     "--extra": dict(type=int, default=6, help="lengths past the basis to check"),
-    "--allow-stable-self-loop": dict(action="store_true"),
     "--out": dict(required=True),
 }
 _SEARCH = ("--pmax", "--qmax", "--mmax")
-_SCHEDULE = ("--policy", "--seed", "--allow-stable-self-loop", "--out")
+_SCHEDULE = ("--policy", "--seed", "--out")
 _COMMANDS = {
     "analyze": (cmd_analyze, "assumption checks and combination search", ("instance", *_SEARCH)),
     "certify": (cmd_certify, "evaluate the stability certificate", ("instance", *_SEARCH, "--lambda")),

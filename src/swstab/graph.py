@@ -25,7 +25,6 @@ POLICIES = ("uniform-random", "round-robin", "alternate-stable")
 @dataclass(frozen=True)
 class SwitchGraph:
     n_subsystems: int
-    allow_stable_self_loop: bool = False
 
     def __post_init__(self):
         if self.n_subsystems < 1:
@@ -34,8 +33,7 @@ class SwitchGraph:
         chain = {(ell, ell + 1) for ell in range(1, n)}
         into_hub = {(ell, hub) for ell in range(1, n + 1)}
         from_hub = {(hub, ell) for ell in range(1, n + 1)}
-        extra = {(hub, hub)} if self.allow_stable_self_loop else set()
-        edges = frozenset(chain | into_hub | from_hub | extra)
+        edges = frozenset(chain | into_hub | from_hub)
         # out[v]: the sorted out-neighbours of vertex v; out[0] holds the
         # vertices a walk may start at.
         out = tuple(
@@ -63,13 +61,9 @@ class SwitchGraph:
         return self._out[int(v)]
 
 
-def build_graph(n_subsystems: int, allow_stable_self_loop: bool = False) -> SwitchGraph:
-    """The chain-plus-hub graph on N+1 vertices.
-
-    The hub self-loop is off by default (it is not part of the scheduling
-    construction); enabling it admits purely periodic schedules as walks.
-    """
-    return SwitchGraph(n_subsystems, allow_stable_self_loop)
+def build_graph(n_subsystems: int) -> SwitchGraph:
+    """The chain-plus-hub graph on N+1 vertices; the hub has no self-loop."""
+    return SwitchGraph(n_subsystems)
 
 
 def validate_walk(graph: SwitchGraph, vertices: Sequence[int]) -> list[int]:

@@ -112,20 +112,21 @@ class EnvelopeProfile:
         The empty product contributes 1 / c.  Among products of equal value
         the witness is the first one in preorder, which is the order of
         (walk, t): a product comes before its extensions, and the nodes
-        that open a vertex come in ascending vertex order.
+        that open a vertex come in ascending vertex order.  When a value
+        leaves double range, every duration is ranked by its logarithm,
+        ln peak + rate * t, and the ratio is inf only if it leaves range too.
         """
         horizon = self.horizon if horizon is None else horizon
         if not 0 <= horizon <= self.horizon:
             raise ValueError(f"horizon {horizon} outside the profile's 0..{self.horizon}")
-        best, t_best = 1.0, 0
-        for t in range(1, horizon + 1):
-            value = _times_exp(self.peaks[t], rate * t)
-            if value > best or (
-                value == best and (self.walks[t], t) < (self.walks[t_best], t_best)
-            ):
-                best, t_best = value, t
+        ts = range(horizon + 1)
+        values = [_times_exp(self.peaks[t], rate * t) for t in ts]
+        in_range = math.inf not in values
+        if not in_range:
+            values = [math.log(p) + rate * t if p > 0.0 else -math.inf for t, p in zip(ts, self.peaks)]
+        t_best = min(ts, key=lambda t: (-values[t], self.walks[t], t))
         return BoundCheck(
-            max_ratio=best / c,
+            max_ratio=values[t_best] / c if in_range else _times_exp(1.0, values[t_best] - math.log(c)),
             witness_walk=self.walks[t_best],
             witness_time=t_best,
             products_checked=sum(self.counts[1 : horizon + 1]),
@@ -450,20 +451,6 @@ def correction_bounds(inputs: CertificateInputs) -> tuple[int, float]:
     return count, norm
 
 
-def _evaluate_tokens(tokens, family, comb_matrix, comm) -> np.ndarray:
-    p = np.eye(family.dim)
-    for tok in reversed(tokens):
-        kind = tok[0]
-        if kind == "A":
-            factor = family.matrix(tok[1])
-        elif kind == "C":
-            factor = comb_matrix
-        else:
-            factor = comm[tok[1]]
-        p = factor @ p
-    return p
-
-
 def decompose_product(
     family: MatrixFamily,
     comb: StableCombination,
@@ -491,34 +478,41 @@ def decompose_product(
         raise ValueError(f"segment holds {n_blocks} combination blocks, needs at least {m}")
 
     comb_matrix = np.asarray(comb.product, dtype=float)
-    comm = {
-        ell: commutator(family.matrix(ell), comb_matrix)
-        for ell in range(1, family.size + 1)
-    }
-    # Product order: leftmost token is the latest time step.
-    tokens = [("C",) if v == hub else ("A", v) for v in reversed(walk)]
+    # A word lists vertex ids in product order, the latest time step
+    # first: l is A_l, the hub is C, and -l the commutator [A_l, C].
+    factors = {hub: comb_matrix}
+    for ell in range(1, family.size + 1):
+        factors[ell] = family.matrix(ell)
+        factors[-ell] = commutator(factors[ell], comb_matrix)
 
-    main = list(tokens)
-    terms: list[list[tuple]] = []
+    def product(word) -> np.ndarray:
+        p = np.eye(family.dim)
+        for v in reversed(word):
+            p = factors[v] @ p
+        return p
+
+    word = walk[::-1]
+    main = list(word)
+    terms: list[list[int]] = []
     for settled in range(m):
         boundary = len(main) - settled  # positions >= boundary hold moved blocks
-        idx = max(i for i in range(boundary) if main[i] == ("C",))
+        idx = max(i for i in range(boundary) if main[i] == hub)
         while idx < boundary - 1:
             nxt = main[idx + 1]
-            if nxt[0] == "A":
-                terms.append(main[:idx] + [("E", nxt[1])] + main[idx + 2 :])
+            if nxt != hub:
+                terms.append(main[:idx] + [-nxt] + main[idx + 2 :])
             # adjacent combination blocks commute exactly: swap, no term
             main[idx], main[idx + 1] = nxt, main[idx]
             idx += 1
 
     # operator_norm refuses a product past double range; no warning precedes that
     with np.errstate(over="ignore", invalid="ignore"):
-        total = _evaluate_tokens(tokens, family, comb_matrix, comm)
-        left = _evaluate_tokens(main[: len(main) - m], family, comb_matrix, comm)
+        total = product(word)
+        left = product(main[: len(main) - m])
         main_term = left @ mat_power(comb_matrix, m)
         correction = np.zeros((family.dim, family.dim))
         for term in terms:
-            correction -= _evaluate_tokens(term, family, comb_matrix, comm)
+            correction -= product(term)
         residual = operator_norm(total - (main_term + correction))
     return ProductDecomposition(
         total=total,

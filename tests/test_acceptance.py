@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 import swstab as sw
+from swstab.certificate import _lhs_terms
 from swstab.cli import PIPELINE_ENUM_CAP
 
 # --- shared population: 200 seeded random instances --------------------
@@ -69,7 +70,7 @@ def test_criterion_1_diagonal_fixture(capsys, diag_family, diag_comb):
     t0 = time.perf_counter()
     inputs = sw.compute_constants(diag_family, diag_comb)
     best = sw.max_certified_rate(inputs)
-    lhs = sw.certificate_lhs(inputs, 0.3)
+    lhs = sum(_lhs_terms(inputs, 0.3))
     elapsed = time.perf_counter() - t0
     sup_rate = -math.log(0.48) / 2.0
     ok = (
@@ -305,11 +306,11 @@ def test_criterion_7_monotonicity(capsys, population, diag_family, diag_comb):
     for inputs in inputs_set:
         limit = sw.rate_upper_limit(inputs)
         grid = np.linspace(0.0, 0.95 * limit, 40)
-        values = [sw.certificate_lhs(inputs, r) for r in grid]
+        values = [sum(_lhs_terms(inputs, r)) for r in grid]
         failures += any(b <= a for a, b in zip(values, values[1:]))
         eps_grid = np.linspace(0.0, 1.0, 40)
         at_rate = [
-            sw.certificate_lhs(replace(inputs, max_commutator_norm=e), 0.05)
+            sum(_lhs_terms(replace(inputs, max_commutator_norm=e), 0.05))
             for e in eps_grid
         ]
         failures += any(b <= a for a, b in zip(at_rate, at_rate[1:]))
@@ -318,7 +319,7 @@ def test_criterion_7_monotonicity(capsys, population, diag_family, diag_comb):
             failures += 1
             continue
         at_boundary = abs(best - limit) <= 1e-12
-        near_unity = abs(sw.certificate_lhs(inputs, best) - 1.0) <= 1e-8
+        near_unity = abs(sum(_lhs_terms(inputs, best)) - 1.0) <= 1e-8
         failures += not (near_unity or at_boundary)
     ok = failures == 0
     assert _verdict(

@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 
 from swstab import (
     CertificateInputs,
-    certificate_lhs,
     check_certificate,
     compute_constants,
     max_certified_rate,
     rate_upper_limit,
 )
-from swstab.certificate import RATE_SAFETY
+from swstab.certificate import RATE_SAFETY, _lhs_terms
 
 # Closed-form references for the diagonal pair: rho = 0.48, block = 2,
 # m = 1, eps = 0, so LHS(r) = 0.48 * exp(2r) and the supremum rate is
@@ -38,8 +37,8 @@ def test_constants_diagonal(diag_family, diag_comb):
 
 def test_lhs_closed_form(diag_family, diag_comb):
     ins = diag_inputs(diag_family, diag_comb)
-    assert certificate_lhs(ins, 0.3) == pytest.approx(DIAG_LHS_03, abs=1e-12)
-    assert certificate_lhs(ins, 0.0) == pytest.approx(0.48, abs=1e-14)
+    assert sum(_lhs_terms(ins, 0.3)) == pytest.approx(DIAG_LHS_03, abs=1e-12)
+    assert sum(_lhs_terms(ins, 0.0)) == pytest.approx(0.48, abs=1e-14)
 
 
 def test_max_rate_closed_form_when_commutator_vanishes(diag_family, diag_comb):
@@ -47,16 +46,6 @@ def test_max_rate_closed_form_when_commutator_vanishes(diag_family, diag_comb):
     best = max_certified_rate(ins)
     assert best == pytest.approx(DIAG_SUP_RATE, abs=1e-12)
     assert best == pytest.approx(rate_upper_limit(ins), abs=1e-14)
-
-
-def test_lhs_rejects_negative_rate(diag_family, diag_comb):
-    with pytest.raises(ValueError):
-        certificate_lhs(diag_inputs(diag_family, diag_comb), -0.1)
-
-
-def test_lhs_overflow_raises(diag_family, diag_comb):
-    with pytest.raises(OverflowError):
-        certificate_lhs(diag_inputs(diag_family, diag_comb), 1e6)
 
 
 def test_inputs_validation():
@@ -88,7 +77,7 @@ def test_bisection_endpoint_near_unity(diag_family, diag_comb):
     ins = replace(diag_inputs(diag_family, diag_comb), max_commutator_norm=1e-3)
     best = max_certified_rate(ins)
     assert best is not None
-    assert abs(certificate_lhs(ins, best) - 1.0) <= 1e-8
+    assert abs(sum(_lhs_terms(ins, best)) - 1.0) <= 1e-8
 
 
 def test_check_certificate_auto_rate(diag_family, diag_comb):
@@ -119,6 +108,16 @@ def test_shear_certificate_infeasible(shear_family, shear_comb):
     assert cert.rate == 0.0
 
 
+def test_certificate_carries_its_constants_and_max_rate(diag_family, diag_comb, shear_family, shear_comb):
+    cases = [(diag_family, diag_comb, None), (diag_family, diag_comb, 0.3), (shear_family, shear_comb, None)]
+    for family, comb, rate in cases:
+        cert = check_certificate(family, comb, rate)
+        inputs = compute_constants(family, comb)
+        assert cert.inputs == inputs
+        assert cert.max_rate == max_certified_rate(inputs)
+    assert cert.max_rate is None
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.floats(0.01, 1.0),
@@ -135,7 +134,7 @@ def test_lhs_strictly_increasing_in_rate(rate, bump):
         head_power=1,
         tail_power=2,
     )
-    assert certificate_lhs(ins, rate + bump) > certificate_lhs(ins, rate)
+    assert sum(_lhs_terms(ins, rate + bump)) > sum(_lhs_terms(ins, rate))
 
 
 @settings(max_examples=60, deadline=None)
@@ -152,4 +151,4 @@ def test_lhs_strictly_increasing_in_commutator_norm(eps, bump):
         tail_power=2,
     )
     bigger = replace(base, max_commutator_norm=eps + bump)
-    assert certificate_lhs(bigger, 0.05) > certificate_lhs(base, 0.05)
+    assert sum(_lhs_terms(bigger, 0.05)) > sum(_lhs_terms(base, 0.05))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import swstab.certificate
 import swstab.cli
 import swstab.oracle
 from swstab import MatrixFamily, write_instance
@@ -158,6 +159,26 @@ def test_verify_scans_the_envelope_once(diag_instance, capsys, monkeypatch):
     assert "max_ratio=2.9999933942846964 (191 products) FAIL" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("rate", ["auto", "0.15"])
+@pytest.mark.parametrize("command", ["certify", "verify", "experiment"])
+def test_certificate_constants_and_rate_are_computed_once(command, rate, diag_instance, tmp_path, monkeypatch):
+    calls = []
+    for name in ("compute_constants", "max_certified_rate"):
+
+        def counting(*args, name=name, func=getattr(swstab.certificate, name)):
+            calls.append(name)
+            return func(*args)
+
+        # the CLI module may hold a reference of its own to either function
+        for module in (swstab.certificate, swstab.cli):
+            monkeypatch.setattr(module, name, counting, raising=False)
+    argv = [command, diag_instance, "--lambda", rate]
+    if command == "experiment":
+        argv = [command, "--instance", diag_instance, "--lambda", rate, "--trials", "1", "--out", str(tmp_path)]
+    main(argv)
+    assert sorted(calls) == ["compute_constants", "max_certified_rate"]
+
+
 def test_verify_detects_envelope_violation_past_basis(diag_instance, capsys):
     # At the certified rate the envelope fails a few steps past the basis
     # horizon; the verifier reports it and exits with the bound-violated code.
@@ -241,6 +262,9 @@ def test_experiment_random_instance_written(tmp_path, capsys):
         ["experiment", "--seed", "-1"],
         ["simulate", "DIAG", "--partner", "5"],
         ["signal", "DIAG", "--steps", "0"],
+        ["signal", "DIAG", "--allow-stable-self-loop"],
+        ["simulate", "DIAG", "--allow-stable-self-loop"],
+        ["experiment", "--allow-stable-self-loop"],
     ],
     ids=" ".join,
 )
@@ -542,7 +566,8 @@ _NO_EXTRA = "exhaustive envelope check: SKIP (no lengths past the basis)\n"
             _CERT_1E300
             + _CHECKS_TO_BASIS
             + "envelope constant: 1.998620311342746e+300 (exhaustive, basis length 4)\n"
-            + "exhaustive envelope check to length 10: max_ratio=inf (191 products) FAIL\n"
+            + "exhaustive envelope check to length 10: "
+            + "max_ratio=1.4127504339702703e+150 (191 products) FAIL\n"
             + _DECOMPOSITION,
             None,
         ),
@@ -584,8 +609,10 @@ def test_tiny_norm_combination_ends_cleanly(instance, argv, code, out, constant,
     # large enough that exp(rate * t) leaves double range within the
     # horizon.  On the 1e-100 pair the envelope holds over the basis with
     # c = 2e100 but not past it, an over-claim the check reports; on the
-    # 1e-300 pair the scaled norms past the basis leave double range; in
-    # one dimension the constant itself does, and no ratio to it is defined.
+    # 1e-300 pair the scaled norms past the basis leave double range, and
+    # their ratio to the constant, e^345.7 at 5 steps, is taken in log
+    # space; in one dimension the constant itself leaves double range, and
+    # no ratio to it is defined.
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(instance))
     if argv == ["experiment"]:

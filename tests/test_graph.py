@@ -22,11 +22,6 @@ def test_two_subsystem_graph_edges():
     assert g.edges == frozenset({(1, 2), (1, 3), (2, 3), (3, 1), (3, 2)})
 
 
-def test_self_loop_is_opt_in():
-    assert (3, 3) not in build_graph(2).edges
-    assert (3, 3) in build_graph(2, allow_stable_self_loop=True).edges
-
-
 def test_out_neighbors_sorted():
     g = build_graph(3)
     assert g.out_neighbors(1) == (2, 4)

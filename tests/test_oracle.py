@@ -172,6 +172,25 @@ def test_bound_check_past_exp_range():
     assert (check.max_ratio, check.witness_walk, check.witness_time) == (math.inf, (1, 2, 1), 3)
 
 
+def test_bound_check_ranks_overflowing_durations_by_logarithm():
+    # At rate 100, peak * exp(rate * t) leaves double range at t = 2
+    # (e^890.8) and t = 3 (e^1002.3).  The larger is the witness, though
+    # the walk of t = 2 comes first in preorder, and its ratio to c = 1e300
+    # fits in a double.
+    profile = EnvelopeProfile(
+        basis=1, block=1, peaks=(1.0, 0.5, 1e300, 1e305), walks=((), (1,), (1, 2), (1, 2, 1)),
+        counts=(1, 2, 2, 2),
+    )
+    check = profile.bound_check(100.0, 1e300)
+    assert check.max_ratio == pytest.approx(math.exp(math.log(1e305) + 300.0 - math.log(1e300)), rel=1e-12)
+    assert (check.witness_walk, check.witness_time) == ((1, 2, 1), 3)
+    check = profile.bound_check(100.0)
+    assert (check.max_ratio, check.witness_walk, check.witness_time) == (math.inf, (1, 2, 1), 3)
+    # Below double range the values themselves are compared, as before.
+    check = profile.bound_check(100.0, 1e300, horizon=1)
+    assert (check.max_ratio, check.witness_walk, check.witness_time) == (0.5 * math.exp(100.0) / 1e300, (1,), 1)
+
+
 def test_envelope_profile_counts_what_it_scans(
     diag_family, diag_comb, shear_family, shear_comb, monkeypatch
 ):

@@ -10,7 +10,8 @@ every workload at seeds 0, 1 and 2, untraced (``--trace 0``) and traced
 JSON lines of each run (details, then result) go into
 ``BENCH_<short sha of CHECKOUT's HEAD>.json`` at the root of the
 repository this script is in, so the figures of several commits can be
-collected side by side.
+collected side by side.  The file also records ``src_lines``, the line
+count of CHECKOUT's ``src/swstab/*.py`` (the total of ``wc -l``).
 """
 
 from __future__ import annotations
@@ -52,8 +53,9 @@ def main(argv=None) -> int:
                 details, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
                 runs.append({"details": details, "result": result})
                 print(f"{workload} seed={seed} trace={trace} correct={result['correct']}", flush=True)
+    src_lines = sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "swstab").glob("*.py"))
     out = HERE / f"BENCH_{sha}.json"
-    out.write_text(json.dumps({"commit": sha, "runs": runs}, indent=1) + "\n")
+    out.write_text(json.dumps({"commit": sha, "src_lines": src_lines, "runs": runs}, indent=1) + "\n")
     print(out)
     return 0
 
