@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .family import MatrixFamily
-from .linalg import commutator, operator_norm
+from .linalg import operator_norms
 from .search import StableCombination
 
 # The certificate is issued slightly inside the supremum rate so both
@@ -95,17 +95,21 @@ def compute_constants(
 ) -> CertificateInputs:
     """Measure the scalar constants of the certificate from the matrices.
 
-    A commutator whose products leave double range has norm inf, at which
-    no rate is certified."""
-    norms = [operator_norm(a) for a in family.subsystems]
+    The norms of the subsystems, of the combination C and of the finite
+    commutators A_l C - C A_l come from one batched SVD.  A commutator whose
+    products leave double range has norm inf, at which no rate is
+    certified."""
+    n, c = family.size, comb.product
+    mats = np.stack(family.subsystems)
     with np.errstate(over="ignore", invalid="ignore"):
-        comms = [commutator(a, comb.product) for a in family.subsystems]
-    comms = [operator_norm(e) if np.isfinite(e).all() else math.inf for e in comms]
+        comms = mats @ c - c @ mats
+    finite = np.isfinite(comms).all(axis=(1, 2))
+    norms = operator_norms(np.concatenate([mats, c[None], comms[finite]]))
     return CertificateInputs(
-        n_subsystems=family.size,
-        max_subsystem_norm=max(norms),
-        combination_norm=operator_norm(comb.product),
-        max_commutator_norm=max(comms),
+        n_subsystems=n,
+        max_subsystem_norm=float(norms[:n].max()),
+        combination_norm=float(norms[n]),
+        max_commutator_norm=float(norms[n + 1:].max()) if finite.all() else math.inf,
         contraction_power=comb.contraction_power,
         contraction_norm=comb.contraction_norm,
         head_power=comb.head_power,

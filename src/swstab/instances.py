@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .family import MatrixFamily
-from .linalg import is_schur_stable
+from .linalg import SCHUR_MARGIN, batch_rows, spectral_radii
 
 MAX_RESAMPLES = 10_000
 
@@ -84,20 +84,28 @@ def generate_random_instance(n_subsystems: int, dim: int, seed: int) -> MatrixFa
 
     Each matrix is resampled until its spectral radius reaches 1 (within
     the classification margin), matching the usual random ensemble for
-    this problem.  Fully deterministic per seed (numpy PCG64).
+    this problem.  Fully deterministic per seed (numpy PCG64).  The draws
+    are taken a family's worth at a time (at most `batch_rows(dim)`
+    matrices), classified with one radius call and consumed in order, so
+    the family is the one that one draw per matrix gives from the same
+    stream; the draws left over when the family is complete are unused.
     """
     if n_subsystems < 2 or dim < 1:
         raise ValueError("need at least two subsystems and dim >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     mats = []
-    for _ in range(n_subsystems):
-        for _ in range(MAX_RESAMPLES):
-            a = rng.uniform(-1.0, 1.0, size=(dim, dim))
-            if not is_schur_stable(a):
-                mats.append(a)
-                break
-        else:
-            raise RuntimeError(
-                f"no unstable matrix found in {MAX_RESAMPLES} draws (dim={dim})"
-            )
+    draws = 0  # draws spent on the matrix being sought
+    while len(mats) < n_subsystems:
+        chunk = rng.uniform(-1.0, 1.0, size=(min(n_subsystems, batch_rows(dim)), dim, dim))
+        for a, radius in zip(chunk, spectral_radii(chunk)):
+            draws += 1
+            if radius >= 1.0 - SCHUR_MARGIN:
+                mats.append(a.copy())
+                draws = 0
+                if len(mats) == n_subsystems:
+                    break
+            elif draws == MAX_RESAMPLES:
+                raise RuntimeError(
+                    f"no unstable matrix found in {MAX_RESAMPLES} draws (dim={dim})"
+                )
     return MatrixFamily(tuple(mats))

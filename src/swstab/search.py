@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .family import MatrixFamily
-from .linalg import is_schur_stable, mat_power, operator_norm
+from .linalg import SCHUR_MARGIN, batch_rows, is_schur_stable, operator_norm, spectral_radii
 
 
 class ContractionError(RuntimeError):
@@ -65,11 +65,8 @@ def assert_all_unstable(family: MatrixFamily) -> list[int]:
     An empty list means the all-unstable assumption holds.  Marginal
     matrices count as unstable (see `is_schur_stable`).
     """
-    return [
-        ell
-        for ell, a in enumerate(family.subsystems, start=1)
-        if is_schur_stable(a)
-    ]
+    radii = spectral_radii(np.stack(family.subsystems))
+    return [ell for ell, r in enumerate(radii, start=1) if r < 1.0 - SCHUR_MARGIN]
 
 
 def compute_contraction(combo: np.ndarray, m_max: int = 512) -> tuple[int, float]:
@@ -98,13 +95,6 @@ def compute_contraction(combo: np.ndarray, m_max: int = 512) -> tuple[int, float
     )
 
 
-def _exponent_pairs(p_max: int, q_max: int):
-    """(p, q) pairs ordered by total exponent p+q ascending, then p ascending."""
-    for total in range(2, p_max + q_max + 1):
-        for p in range(max(1, total - q_max), min(p_max, total - 1) + 1):
-            yield p, total - p
-
-
 def find_stable_combination(
     family: MatrixFamily,
     p_max: int = 10,
@@ -124,37 +114,47 @@ def find_stable_combination(
     logarithm of its norm.  Candidates, and powers of candidates, that
     leave the double range are skipped as unusable too.
 
+    The candidates are formed in scan order, a batch at a time, by one
+    gathered matmul over a table of powers and classified by one radius
+    call; a batch stays within one total exponent, and the powers are
+    computed only as far as the current total exponent needs.  The result
+    is the one a candidate-by-candidate scan gives, bit for bit.
+
     Returns None when the bounded grid is exhausted.
     """
     if p_max < 1 or q_max < 1:
         raise ValueError("exponent bounds must be at least 1")
-    n = family.size
-    # Cache powers A^k lazily; the grid revisits the same exponents often.
-    powers: dict[tuple[int, int], np.ndarray] = {}
-
-    def power(ell: int, k: int) -> np.ndarray:
-        key = (ell, k)
-        if key not in powers:
-            powers[key] = mat_power(family.matrix(ell), k)
-        return powers[key]
-
-    # A power or product past double range holds inf or nan entries, which
-    # is_schur_stable and operator_norm refuse; such a candidate is skipped.
+    n, d = family.size, family.dim
+    mats = np.stack(family.subsystems)
+    heads, tails = np.nonzero(~np.eye(n, dtype=bool))  # i != j, lexicographic
+    pairs = heads.size
+    # A batch takes `step` candidates: one at first, doubling after each
+    # batch up to `batch_rows(d)`, so an early hit classifies few of them
+    # and a long scan takes few batches.
+    rows, step = batch_rows(d), 1
+    # powers[k, l] = A_l^k by iterated left-multiplication, as mat_power
+    # computes it.
+    powers = np.eye(d)[None, None].repeat(n, axis=1)
+    # A power or product past double range holds inf or nan entries; such a
+    # candidate is skipped.
     with np.errstate(over="ignore", invalid="ignore"):
-        for p, q in _exponent_pairs(p_max, q_max):
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    if i == j:
-                        continue
-                    candidate = power(i, p) @ power(j, q)
+        for total in range(2, p_max + q_max + 1):
+            p_lo, p_hi = max(1, total - q_max), min(p_max, total - 1)
+            while len(powers) <= max(p_hi, total - p_lo):
+                powers = np.concatenate([powers, np.matmul(mats, powers[-1])[None]])
+            # the level's candidates in scan order: p ascending, then (i, j)
+            size, start = (p_hi - p_lo + 1) * pairs, 0
+            while start < size:
+                stop = min(start + step, size)
+                k = np.arange(start, stop)
+                start, step = stop, min(2 * step, rows)
+                p, i, j = p_lo + k // pairs, heads[k % pairs], tails[k % pairs]
+                candidates = np.matmul(powers[p, i], powers[total - p, j])
+                stable = np.isfinite(candidates).all(axis=(1, 2))
+                stable[stable] = spectral_radii(candidates[stable]) < 1.0 - SCHUR_MARGIN
+                for r in np.flatnonzero(stable):
                     try:
-                        stable = is_schur_stable(candidate)
-                    except ValueError:
-                        continue
-                    if not stable:
-                        continue
-                    try:
-                        m, rho = compute_contraction(candidate, m_max)
+                        m, rho = compute_contraction(candidates[r], m_max)
                     except ContractionError:
                         # spectral radius barely under 1 (norms of its powers
                         # never drop below 1 within the cap) or powers past
@@ -163,11 +163,11 @@ def find_stable_combination(
                     if rho == 0.0:
                         continue
                     return StableCombination(
-                        head=i,
-                        tail=j,
-                        head_power=p,
-                        tail_power=q,
-                        product=candidate,
+                        head=int(i[r]) + 1,
+                        tail=int(j[r]) + 1,
+                        head_power=int(p[r]),
+                        tail_power=total - int(p[r]),
+                        product=candidates[r].copy(),
                         contraction_power=m,
                         contraction_norm=rho,
                     )

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import swstab.instances as instances
 from swstab import (
     InstanceParseError,
     assert_all_unstable,
@@ -10,6 +11,7 @@ from swstab import (
     parse_instance,
     write_instance,
 )
+from swstab.linalg import BATCH_ENTRIES, spectral_radii
 
 
 def test_roundtrip_is_exact(tmp_path, diag_family):
@@ -96,3 +98,27 @@ def test_random_instance_validates_arguments():
         generate_random_instance(1, 2, seed=0)
     with pytest.raises(ValueError):
         generate_random_instance(2, 0, seed=0)
+
+
+def test_max_resamples_is_read_at_call_time(monkeypatch):
+    # every 1 x 1 draw on [-1, 1] is Schur stable
+    monkeypatch.setattr(instances, "MAX_RESAMPLES", 5)
+    with pytest.raises(RuntimeError, match=r"^no unstable matrix found in 5 draws \(dim=1\)$"):
+        generate_random_instance(2, 1, seed=0)
+
+
+def test_draws_come_a_family_at_a_time_within_the_entry_bound(monkeypatch):
+    chunks = []
+
+    def spy(stack):
+        chunks.append(stack.shape)
+        return spectral_radii(stack)
+
+    monkeypatch.setattr(instances, "spectral_radii", spy)
+    generate_random_instance(3, 2, seed=1000)
+    assert chunks and all(shape == (3, 2, 2) for shape in chunks)
+    chunks.clear()
+    # every 64 x 64 draw is unstable: 32 draws of 4096 entries, then 32 more
+    generate_random_instance(40, 64, seed=0)
+    assert chunks == [(32, 64, 64)] * 2
+    assert 32 * 64 * 64 == BATCH_ENTRIES

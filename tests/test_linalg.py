@@ -14,6 +14,7 @@ from swstab import (
     operator_norm,
     spectral_radius,
 )
+from swstab.linalg import NonFiniteMatrixError, operator_norms, spectral_radii
 
 small_matrices = arrays(
     np.float64,
@@ -89,6 +90,21 @@ def test_validation_rejects_non_finite():
         spectral_radius(np.array([[np.nan, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         operator_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_stacked_kernels_give_the_bits_of_one_matrix_calls():
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 3, 6):
+        # At d = 2 and 3 the stack mixes matrices with real and with complex
+        # eigenvalues, so the stacked eigvals returns complex values where a
+        # one-matrix call may return real ones.
+        stack = rng.uniform(-1.0, 1.0, size=(40, dim, dim)) * 10.0 ** rng.integers(-100, 100, size=(40, 1, 1))
+        radii, norms = spectral_radii(stack), operator_norms(stack)
+        for a, r, s in zip(stack, radii, norms, strict=True):
+            assert r == float(np.max(np.abs(np.linalg.eigvals(a))))
+            assert s == float(np.linalg.svd(a, compute_uv=False)[0])
+    with pytest.raises(NonFiniteMatrixError):
+        spectral_radii(np.array([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]]))
 
 
 @settings(max_examples=50, deadline=None)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
+import swstab.search as search
 from swstab import (
     ContractionError,
     MatrixFamily,
@@ -10,8 +11,9 @@ from swstab import (
     assert_all_unstable,
     compute_contraction,
     find_stable_combination,
+    generate_random_instance,
 )
-from swstab.search import _exponent_pairs
+from swstab.linalg import BATCH_ENTRIES, spectral_radii
 
 
 def test_assert_all_unstable_clean(diag_family):
@@ -44,13 +46,6 @@ def test_compute_contraction_rejects_unstable_input():
 def test_compute_contraction_raises_past_cap():
     with pytest.raises(ContractionError):
         compute_contraction(np.array([[0.5, 1e6], [0.0, 0.5]]), m_max=10)
-
-
-def test_exponent_pairs_order():
-    pairs = list(_exponent_pairs(3, 3))
-    assert pairs[:6] == [(1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1)]
-    assert pairs[-1] == (3, 3)
-    assert len(pairs) == 9
 
 
 def test_find_stable_combination_diagonal(diag_family):
@@ -126,3 +121,59 @@ def test_contraction_past_double_range_is_unusable():
         # the same product as the family's only finite candidate is skipped
         family = MatrixFamily((np.array([[0.5, 1e308], [0.0, 1.5]]), np.diag([1.9, 0.6])))
         assert find_stable_combination(family) is None
+
+
+@pytest.fixture
+def radius_spy(monkeypatch):
+    """The stacks the search hands to its radius kernel, in call order."""
+    stacks = []
+
+    def spy(stack):
+        stacks.append(stack.copy())
+        return spectral_radii(stack)
+
+    monkeypatch.setattr(search, "spectral_radii", spy)
+    return stacks
+
+
+def test_search_computes_only_the_powers_it_needs(diag_family, radius_spy, monkeypatch):
+    products, real_matmul = [], np.matmul
+
+    def matmul(a, b):
+        products.append(np.shape(a))
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    comb = find_stable_combination(diag_family, p_max=10**6, q_max=10**6)
+    assert (comb.head, comb.tail, comb.head_power, comb.tail_power) == (1, 2, 1, 1)
+    # one stacked step takes both powers from exponent 0 to 1, and the
+    # first batch, one gathered product, holds the first candidate, A_1 A_2
+    assert products == [(2, 2, 2), (1, 2, 2)]
+    a1, a2 = diag_family.subsystems
+    assert len(radius_spy) == 1 and np.array_equal(radius_spy[0], [a1 @ a2])
+
+
+def test_search_batches_double_up_to_the_entry_bound(radius_spy):
+    dim = 64
+    family = generate_random_instance(8, dim, seed=5)
+    assert find_stable_combination(family, p_max=2, q_max=2) is None
+    # 56 ordered pairs per (p, q), at most 32 matrices of 64 x 64 per batch,
+    # and no batch spans two total exponents
+    assert [len(s) for s in radius_spy] == [1, 2, 4, 8, 16, 25, 32, 32, 32, 16, 32, 24]
+    assert max(s.size for s in radius_spy) == BATCH_ENTRIES
+
+
+def test_non_finite_candidate_leaves_its_batch_usable(radius_spy):
+    # The third batch of total exponent 2 holds A_2 A_1, A_2 A_3, A_2 A_4 and
+    # A_3 A_1.  A_2 A_3 = diag(1e320, 0.25) leaves double range; the three
+    # finite ones are classified together, and A_2 A_4 = diag(1e-10, 0.75)
+    # is taken.
+    family = MatrixFamily(
+        tuple(np.diag(d) for d in ([1.0, 3.0], [1e160, 0.5], [1e160, 0.5], [1e-170, 1.5]))
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        comb = find_stable_combination(family)
+    assert (comb.head, comb.tail, comb.head_power, comb.tail_power) == (2, 4, 1, 1)
+    assert [len(s) for s in radius_spy] == [1, 2, 3]
+    assert all(np.isfinite(s).all() for s in radius_spy)
