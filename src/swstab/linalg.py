@@ -69,15 +69,16 @@ def batch_rows(dim: int) -> int:
 
 def spectral_radii(stack) -> np.ndarray:
     """Maximum eigenvalue modulus of every matrix of a (k, d, d) stack, in
-    one batched eigvals (LAPACK's QR iteration)."""
-    if not np.all(np.isfinite(stack)):
+    one batched eigvals (LAPACK's QR iteration); of a (d, d) matrix, as a
+    0-d array."""
+    if not np.isfinite(stack).all():
         raise NonFiniteMatrixError("matrix entries must be finite")
     return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
 
 
 def spectral_radius(a) -> float:
     """Maximum eigenvalue modulus of A."""
-    return float(spectral_radii(as_matrix(a)[None])[0])
+    return float(spectral_radii(as_matrix(a)))
 
 
 def is_schur_stable(a, tol: float = SCHUR_MARGIN) -> bool:

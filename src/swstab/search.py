@@ -114,11 +114,12 @@ def find_stable_combination(
     logarithm of its norm.  Candidates, and powers of candidates, that
     leave the double range are skipped as unusable too.
 
-    The candidates are formed in scan order, a batch at a time, by one
-    gathered matmul over a table of powers and classified by one radius
-    call; a batch stays within one total exponent, and the powers are
-    computed only as far as the current total exponent needs.  The result
-    is the one a candidate-by-candidate scan gives, bit for bit.
+    The candidates are formed in scan order by one stacked matmul per
+    exponent pair (p, q), at most `batch_rows(d)` at a time, from a table
+    of powers that grows only as far as the current total exponent needs;
+    each is then classified by `is_schur_stable` on its own, in scan
+    order.  The result is the one a candidate-by-candidate scan over
+    cached powers gives, bit for bit.
 
     Returns None when the bounded grid is exhausted.
     """
@@ -127,48 +128,46 @@ def find_stable_combination(
     n, d = family.size, family.dim
     mats = np.stack(family.subsystems)
     heads, tails = np.nonzero(~np.eye(n, dtype=bool))  # i != j, lexicographic
-    pairs = heads.size
-    # A batch takes `step` candidates: one at first, doubling after each
-    # batch up to `batch_rows(d)`, so an early hit classifies few of them
-    # and a long scan takes few batches.
-    rows, step = batch_rows(d), 1
-    # powers[k, l] = A_l^k by iterated left-multiplication, as mat_power
-    # computes it.
-    powers = np.eye(d)[None, None].repeat(n, axis=1)
-    # A power or product past double range holds inf or nan entries; such a
-    # candidate is skipped.
+    rows = batch_rows(d)
+    # powers[k][l] = A_{l+1}^k by iterated left-multiplication, as
+    # mat_power computes it
+    powers = [np.eye(d)[None].repeat(n, axis=0)]
+    # A power or product past double range holds inf or nan entries, which
+    # is_schur_stable and operator_norm refuse; such a candidate is skipped.
     with np.errstate(over="ignore", invalid="ignore"):
         for total in range(2, p_max + q_max + 1):
             p_lo, p_hi = max(1, total - q_max), min(p_max, total - 1)
             while len(powers) <= max(p_hi, total - p_lo):
-                powers = np.concatenate([powers, np.matmul(mats, powers[-1])[None]])
-            # the level's candidates in scan order: p ascending, then (i, j)
-            size, start = (p_hi - p_lo + 1) * pairs, 0
-            while start < size:
-                stop = min(start + step, size)
-                k = np.arange(start, stop)
-                start, step = stop, min(2 * step, rows)
-                p, i, j = p_lo + k // pairs, heads[k % pairs], tails[k % pairs]
-                candidates = np.matmul(powers[p, i], powers[total - p, j])
-                stable = np.isfinite(candidates).all(axis=(1, 2))
-                stable[stable] = spectral_radii(candidates[stable]) < 1.0 - SCHUR_MARGIN
-                for r in np.flatnonzero(stable):
-                    try:
-                        m, rho = compute_contraction(candidates[r], m_max)
-                    except ContractionError:
-                        # spectral radius barely under 1 (norms of its powers
-                        # never drop below 1 within the cap) or powers past
-                        # double range: an unusable hit, keep scanning
-                        continue
-                    if rho == 0.0:
-                        continue
-                    return StableCombination(
-                        head=int(i[r]) + 1,
-                        tail=int(j[r]) + 1,
-                        head_power=int(p[r]),
-                        tail_power=total - int(p[r]),
-                        product=candidates[r].copy(),
-                        contraction_power=m,
-                        contraction_norm=rho,
-                    )
+                powers.append(np.matmul(mats, powers[-1]))
+            for p in range(p_lo, p_hi + 1):
+                q = total - p
+                for start in range(0, heads.size, rows):
+                    i, j = heads[start:start + rows], tails[start:start + rows]
+                    candidates = np.matmul(powers[p][i], powers[q][j])
+                    for r, candidate in enumerate(candidates):
+                        try:
+                            stable = is_schur_stable(candidate)
+                        except ValueError:
+                            continue
+                        if not stable:
+                            continue
+                        try:
+                            m, rho = compute_contraction(candidate, m_max)
+                        except ContractionError:
+                            # spectral radius barely under 1 (norms of its
+                            # powers never drop below 1 within the cap) or
+                            # powers past double range: an unusable hit,
+                            # keep scanning
+                            continue
+                        if rho == 0.0:
+                            continue
+                        return StableCombination(
+                            head=int(i[r]) + 1,
+                            tail=int(j[r]) + 1,
+                            head_power=p,
+                            tail_power=q,
+                            product=candidate.copy(),
+                            contraction_power=m,
+                            contraction_norm=rho,
+                        )
     return None

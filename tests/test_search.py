@@ -13,7 +13,7 @@ from swstab import (
     find_stable_combination,
     generate_random_instance,
 )
-from swstab.linalg import BATCH_ENTRIES, spectral_radii
+from swstab.linalg import BATCH_ENTRIES, SCHUR_MARGIN, is_schur_stable
 
 
 def test_assert_all_unstable_clean(diag_family):
@@ -124,50 +124,59 @@ def test_contraction_past_double_range_is_unusable():
 
 
 @pytest.fixture
-def radius_spy(monkeypatch):
-    """The stacks the search hands to its radius kernel, in call order."""
-    stacks = []
+def classified(monkeypatch):
+    """The matrices the search classifies, in call order."""
+    seen = []
 
-    def spy(stack):
-        stacks.append(stack.copy())
-        return spectral_radii(stack)
+    def spy(a, tol=SCHUR_MARGIN):
+        seen.append(np.array(a))
+        return is_schur_stable(a, tol)
 
-    monkeypatch.setattr(search, "spectral_radii", spy)
-    return stacks
+    monkeypatch.setattr(search, "is_schur_stable", spy)
+    return seen
 
 
-def test_search_computes_only_the_powers_it_needs(diag_family, radius_spy, monkeypatch):
-    products, real_matmul = [], np.matmul
+@pytest.fixture
+def stacks(monkeypatch):
+    """The shapes of the stacked products the search forms, in call order."""
+    shapes, real_matmul = [], np.matmul
 
     def matmul(a, b):
-        products.append(np.shape(a))
+        shapes.append(np.shape(a))
         return real_matmul(a, b)
 
     monkeypatch.setattr(np, "matmul", matmul)
+    return shapes
+
+
+def test_search_computes_only_the_powers_it_needs(diag_family, classified, stacks):
     comb = find_stable_combination(diag_family, p_max=10**6, q_max=10**6)
     assert (comb.head, comb.tail, comb.head_power, comb.tail_power) == (1, 2, 1, 1)
-    # one stacked step takes both powers from exponent 0 to 1, and the
-    # first batch, one gathered product, holds the first candidate, A_1 A_2
-    assert products == [(2, 2, 2), (1, 2, 2)]
+    # one stacked step takes both powers from exponent 0 to 1, and one
+    # stacked product forms the candidates of (1, 1): A_1 A_2 and A_2 A_1
+    assert stacks == [(2, 2, 2), (2, 2, 2)]
+    # A_1 A_2 is classified by the scan, then by compute_contraction
     a1, a2 = diag_family.subsystems
-    assert len(radius_spy) == 1 and np.array_equal(radius_spy[0], [a1 @ a2])
+    assert len(classified) == 2 and all(np.array_equal(c, a1 @ a2) for c in classified)
 
 
-def test_search_batches_double_up_to_the_entry_bound(radius_spy):
+def test_search_stacks_stay_within_the_entry_bound(classified, stacks):
     dim = 64
     family = generate_random_instance(8, dim, seed=5)
+    stacks.clear()
     assert find_stable_combination(family, p_max=2, q_max=2) is None
-    # 56 ordered pairs per (p, q), at most 32 matrices of 64 x 64 per batch,
-    # and no batch spans two total exponents
-    assert [len(s) for s in radius_spy] == [1, 2, 4, 8, 16, 25, 32, 32, 32, 16, 32, 24]
-    assert max(s.size for s in radius_spy) == BATCH_ENTRIES
+    # the 56 ordered pairs of each (p, q) in stacks of at most 32 matrices
+    # of 64 x 64; the power table steps to exponent 2 only for total 3
+    step, pq = [(8, dim, dim)], [(32, dim, dim), (24, dim, dim)]
+    assert stacks == step + pq + step + pq * 3
+    assert 32 * dim * dim == BATCH_ENTRIES
+    assert len(classified) == 4 * 56
 
 
-def test_non_finite_candidate_leaves_its_batch_usable(radius_spy):
-    # The third batch of total exponent 2 holds A_2 A_1, A_2 A_3, A_2 A_4 and
-    # A_3 A_1.  A_2 A_3 = diag(1e320, 0.25) leaves double range; the three
-    # finite ones are classified together, and A_2 A_4 = diag(1e-10, 0.75)
-    # is taken.
+def test_non_finite_candidate_leaves_its_stack_usable(classified):
+    # Total exponent 2 forms A_1 A_2, A_1 A_3, A_1 A_4, A_2 A_1, A_2 A_3,
+    # A_2 A_4, ... in one stack.  A_2 A_3 = diag(1e320, 0.25) leaves double
+    # range and is skipped; the next, A_2 A_4 = diag(1e-10, 0.75), is taken.
     family = MatrixFamily(
         tuple(np.diag(d) for d in ([1.0, 3.0], [1e160, 0.5], [1e160, 0.5], [1e-170, 1.5]))
     )
@@ -175,5 +184,5 @@ def test_non_finite_candidate_leaves_its_batch_usable(radius_spy):
         warnings.simplefilter("error")
         comb = find_stable_combination(family)
     assert (comb.head, comb.tail, comb.head_power, comb.tail_power) == (2, 4, 1, 1)
-    assert [len(s) for s in radius_spy] == [1, 2, 3]
-    assert all(np.isfinite(s).all() for s in radius_spy)
+    # six candidates scanned, the hit classified once more by compute_contraction
+    assert [np.isfinite(c).all() for c in classified] == [True] * 4 + [False] + [True] * 2

@@ -155,7 +155,7 @@ def test_population_equals_the_per_matrix_pipeline(n, dim):
     hits = 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for seed in range(1000, 1400):
+        for seed in range(1000, 1100):
             family = generate_random_instance(n, dim, seed)
             want = reference_instance(n, dim, seed)
             assert all(_same_bits(a, b) for a, b in zip(family.subsystems, want.subsystems, strict=True))

@@ -8,9 +8,10 @@ in the checkouts PARENT and CHANGE, one run at a time for
 ``run_seconds`` each.  Pair k runs both at seed k, PARENT first in even
 pairs and CHANGE first in odd ones, so a drift of the host's speed
 falls on both sides alike.  It prints each run as it ends, then for
-every end-to-end metric the median of each side and the number of pairs
-in which CHANGE was better (by the metric's ``better`` direction).  It
-exits 1 if any run is not ``correct`` or has failed ops.
+every end-to-end metric the median of each side, the distance between
+the quartiles of PARENT's runs, and the number of pairs in which CHANGE
+was better (by the metric's ``better`` direction).  It exits 1 if any
+run is not ``correct`` or has failed ops.
 """
 
 from __future__ import annotations
@@ -57,14 +58,15 @@ def main(argv=None) -> int:
             shown = " ".join(f"{m['name']}={results[side][-1][m['name']]:.4g}" for m in metrics)
             print(f"pair {k} {side}: correct={result['correct']} failed={result['failed']} {shown}", flush=True)
     print(f"\n{args.workload}: {args.pairs} pairs, seeds 0-{args.pairs - 1}, {spec['run_seconds']} s per run")
-    print(f"{'metric':<12} {'parent':>12} {'change':>12}  change won")
+    print(f"{'metric':<12} {'parent':>12} {'change':>12} {'parent IQR':>12}  change won")
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         parent = [r[name] for r in results["parent"]]
         change = [r[name] for r in results["change"]]
         won = sum(sign * (c - q) > 0 for q, c in zip(parent, change))
+        q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (parent[0],) * 3
         print(f"{name:<12} {statistics.median(parent):>12.4g} {statistics.median(change):>12.4g}"
-              f"  {won}/{args.pairs}")
+              f" {q3 - q1:>12.4g}  {won}/{args.pairs}")
     return 0 if clean else 1
 
 
