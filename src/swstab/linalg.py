@@ -30,7 +30,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.array(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NonFiniteMatrixError("matrix entries must be finite")
     return m
 
