@@ -20,8 +20,7 @@ def stress_test(family, comb, cert, seed, trials=50, horizon=200):
     walk = sw.walk_for_horizon(graph, comb, "uniform-random", seed, horizon)
     signal = sw.walk_to_signal(graph, walk, comb)
     violations = 0
-    for k in range(trials):
-        traj = sw.simulate(family, signal, sw.trial_x0(seed, k, family.dim), horizon)
+    for traj in sw.seeded_trials(family, signal, seed, trials, horizon):
         check = sw.verify_ges(traj.norms / traj.norms[0], c, cert.rate)
         violations += not check.holds
     return violations, c

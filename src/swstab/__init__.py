@@ -75,6 +75,7 @@ from .simulate import (
     Trajectory,
     fit_decay,
     product_norms,
+    seeded_trials,
     simulate,
     trial_x0,
     verify_ges,

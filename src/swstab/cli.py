@@ -36,7 +36,7 @@ from .oracle import (
     exchange_identity_residual,
 )
 from .search import StableCombination, assert_all_unstable, find_stable_combination
-from .simulate import fit_decay, simulate, trial_x0, verify_ges
+from .simulate import fit_decay, seeded_trials, verify_ges
 
 EXIT_OK = 0
 EXIT_NO_COMBINATION = 2
@@ -160,8 +160,8 @@ def cmd_signal(args) -> int:
 
 def _schedule_and_trials(family, comb, args, out: Path, partner: int = 1):
     """The run's seeded schedule, written to `out` as signal.csv, and its
-    trials; returns the walk, the signal and an iterator that simulates
-    one trial at a time and writes its norms_XXX.csv."""
+    trials; returns the walk, the signal and an iterator over the trials
+    (`seeded_trials`) that writes each one's norms_XXX.csv."""
     graph = build_graph(family.size)
     walk = walk_for_horizon(graph, comb, args.policy, args.seed, args.horizon, partner)
     signal = walk_to_signal(graph, walk, comb)
@@ -169,8 +169,7 @@ def _schedule_and_trials(family, comb, args, out: Path, partner: int = 1):
     signal.write_csv(out / "signal.csv")
 
     def trials():
-        for k in range(args.trials):
-            traj = simulate(family, signal, trial_x0(args.seed, k, family.dim), args.horizon)
+        for k, traj in enumerate(seeded_trials(family, signal, args.seed, args.trials, args.horizon)):
             traj.write_csv(out / f"norms_{k:03d}.csv")
             yield traj
 

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .family import MatrixFamily
 from .graph import SwitchingSignal
 from .linalg import as_vector, operator_norms
@@ -28,11 +29,11 @@ class Trajectory:
         return self.states.shape[0] - 1
 
     def write_csv(self, path) -> None:
+        """The header `t,norm` and one row per time, CRLF-terminated as the
+        csv module writes them, norms to 17 significant digits; one write."""
+        rows = "".join(f"{t},{n:.17g}\r\n" for t, n in enumerate(self.norms.tolist()))
         with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["t", "norm"])
-            for t, norm in enumerate(self.norms):
-                writer.writerow([t, f"{norm:.17g}"])
+            f.write("t,norm\r\n" + rows)
 
 
 @dataclass(frozen=True)
@@ -76,6 +77,17 @@ def _step_matrices(
     return [mats[ell] for ell in steps]
 
 
+def _step(mats: list[np.ndarray], states: np.ndarray) -> None:
+    """Fill states[1:] from states[0] by x = states[t] = a @ x, one matmul
+    per step and no product caching.  `states` is (T+1, d) for one trial
+    or (T+1, k, d, 1) for a stack of k; numpy multiplies each (d, 1) slice
+    of a stack with the bits of (d, d) @ (d,), which a plain (d, d) @ (d, k)
+    product does not give."""
+    x = states[0]
+    for t, a in enumerate(mats, start=1):
+        x = states[t] = a @ x
+
+
 def simulate(
     family: MatrixFamily,
     signal: SwitchingSignal,
@@ -84,9 +96,10 @@ def simulate(
 ) -> Trajectory:
     """Step the switched recursion x(t+1) = A_sigma(t) x(t) for `horizon` steps.
 
-    Strict step-by-step left-multiplication with no product caching, so the
-    evaluation order matches mat_power and the product-norm sequence
-    bit for bit.
+    Each state is the step matrix times the previous state, so states[t]
+    need not carry the bits of (A_sigma(t-1) ... A_sigma(0)) @ x0 formed
+    from the accumulated product; `seeded_trials` gives every trial of a
+    stack the bits of this function.
     """
     x = as_vector(x0, family.dim)
     mats = _step_matrices(family, signal, horizon)
@@ -94,10 +107,38 @@ def simulate(
     states[0] = x
     # a diverging trajectory may leave double range; its states hold inf/nan
     with np.errstate(over="ignore", invalid="ignore"):
-        for t, a in enumerate(mats, start=1):
-            x = states[t] = a @ x
+        _step(mats, states)
         norms = np.linalg.norm(states, axis=1)
     return Trajectory(states=states, norms=norms)
+
+
+def seeded_trials(
+    family: MatrixFamily,
+    signal: SwitchingSignal,
+    seed: int,
+    trials: int,
+    horizon: int,
+) -> Iterator[Trajectory]:
+    """The trials k = 0..trials-1 of a run, in order: the `simulate` of
+    `trial_x0(seed, k, d)` on `signal` for each, with the same bits.
+
+    The trials are stepped together in stacks of at most
+    `linalg.BATCH_ENTRIES` state entries (k * (T+1) * d, read at call
+    time), one matmul per step and stack; a trial longer than that is a
+    stack of its own.
+    """
+    mats = _step_matrices(family, signal, horizon)
+    dim = family.dim
+    per_stack = max(1, linalg.BATCH_ENTRIES // ((horizon + 1) * dim))
+    for first in range(0, trials, per_stack):
+        ks = range(first, min(trials, first + per_stack))
+        states = np.empty((horizon + 1, len(ks), dim, 1))
+        states[0, :, :, 0] = [trial_x0(seed, k, dim) for k in ks]
+        with np.errstate(over="ignore", invalid="ignore"):
+            _step(mats, states)
+            norms = np.linalg.norm(states, axis=2)
+        for j in range(len(ks)):
+            yield Trajectory(states=states[:, j, :, 0], norms=norms[:, j, 0])
 
 
 def product_norms(

@@ -109,8 +109,7 @@ def test_criterion_2_sampled_envelope(capsys, population):
         graph = sw.build_graph(family.size)
         walk = sw.walk_for_horizon(graph, comb, "uniform-random", seed, 200)
         signal = sw.walk_to_signal(graph, walk, comb)
-        for k in range(100):
-            traj = sw.simulate(family, signal, sw.trial_x0(seed, k, family.dim), 200)
+        for traj in sw.seeded_trials(family, signal, seed, 100, 200):
             check = sw.verify_ges(traj.norms / traj.norms[0], c, cert.rate)
             violations += not check.holds
     elapsed = time.perf_counter() - t0
