@@ -47,9 +47,9 @@ def worse_past_bound(metric: dict, parent: float, change: float) -> bool:
     return change > parent * (1 + metric["bound"])
 
 
-def compare(sides: dict, spec: dict, workload: str, pairs: int) -> tuple[bool, bool]:
+def compare(sides: dict, spec: dict, workload: str, pairs: int) -> bool:
     """Run `pairs` alternating pairs of one workload and print its table;
-    returns whether every run was clean and whether no metric regressed."""
+    returns whether every run was clean and no median is worse past its bound."""
     metrics = spec["end_to_end"]
     results = {side: [] for side in sides}
     clean = True
@@ -77,7 +77,7 @@ def compare(sides: dict, spec: dict, workload: str, pairs: int) -> tuple[bool, b
         print(f"{name:<12} {p50:>12.4g} {c50:>12.4g} {q3 - q1:>12.4g}  {f'{won}/{pairs}':>10}"
               f"  {'YES' if worse else 'no'} (bound {m['bound']:.0%})", flush=True)
     print()
-    return clean, within
+    return clean and within
 
 
 def main(argv=None) -> int:
@@ -94,11 +94,9 @@ def main(argv=None) -> int:
     if unknown:
         p.error(f"unknown workload {', '.join(unknown)}; expected some of {', '.join(known)}")
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    ok = True
-    for workload in workloads:
-        clean, within = compare(sides, spec, workload, args.pairs)
-        ok &= clean and within
-    return 0 if ok else 1
+    ok = [compare(sides, spec, workload, args.pairs) for workload in workloads]
+    return 0 if all(ok) else 1
+
 
 if __name__ == "__main__":
     sys.exit(main())
