@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import NonFiniteMatrixError
 
 
 @dataclass(frozen=True)
@@ -14,13 +14,19 @@ class MatrixFamily:
     """An ordered family of N >= 2 square matrices sharing one dimension.
 
     Subsystem indices are 1-based everywhere in this package (index set
-    {1, ..., N}); the underlying tuple is 0-based as usual.
+    {1, ..., N}); the underlying tuple is 0-based as usual.  Its matrices
+    are read-only views of one (N, d, d) float64 stack, the family's own
+    copy of the matrices it was given, which is checked for finiteness in
+    one call.
     """
 
     subsystems: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        mats = tuple(as_matrix(a) for a in self.subsystems)
+        mats = [np.asarray(a, dtype=float) for a in self.subsystems]
+        for a in mats:
+            if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+                raise ValueError(f"expected a square matrix, got shape {a.shape}")
         if len(mats) < 2:
             raise ValueError("a family needs at least two subsystems")
         dim = mats[0].shape[0]
@@ -29,8 +35,11 @@ class MatrixFamily:
                 raise ValueError(
                     f"subsystem {k} has dim {a.shape[0]}, expected {dim}"
                 )
-            a.setflags(write=False)
-        object.__setattr__(self, "subsystems", mats)
+        stack = np.array(mats)
+        if not np.isfinite(stack).all():
+            raise NonFiniteMatrixError("matrix entries must be finite")
+        stack.setflags(write=False)
+        object.__setattr__(self, "subsystems", tuple(stack))
 
     @property
     def dim(self) -> int:

@@ -100,7 +100,7 @@ def generate_random_instance(n_subsystems: int, dim: int, seed: int) -> MatrixFa
         for a, radius in zip(chunk, spectral_radii(chunk)):
             draws += 1
             if radius >= 1.0 - SCHUR_MARGIN:
-                mats.append(a.copy())
+                mats.append(a)
                 draws = 0
                 if len(mats) == n_subsystems:
                     break

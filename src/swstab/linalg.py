@@ -6,11 +6,22 @@ SVD; at the dimensions this package targets (d of a few) robustness beats
 speed everywhere.  The stacked kernels (`spectral_radii`, `operator_norms`)
 make one LAPACK call per matrix inside one numpy call, and give the same
 bits as the one-matrix kernels on each matrix.
+
+Both operations call numpy.linalg's own LAPACK gufuncs (see `_lapack`)
+on the same float64 input, so every radius and norm has numpy.linalg's
+bits without its per-call wrapper.  This module is the package's one door
+to LAPACK.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.linalg import LinAlgError
+
+# The gufuncs under numpy.linalg, as numpy 2 names them (numpy 1 had no
+# `svd`); bound here so that a numpy without them fails on import.
+from numpy.linalg._umath_linalg import eigvals as _eigvals
+from numpy.linalg._umath_linalg import svd as _svd
 
 # Spectral radii within this margin below 1 are never certified as Schur
 # stable.
@@ -67,18 +78,43 @@ def batch_rows(dim: int) -> int:
     return max(1, BATCH_ENTRIES // (dim * dim))
 
 
+def _not_converged(err, flag):
+    raise LinAlgError("LAPACK did not converge")
+
+
+def _lapack(gufunc, signature: str, stack: np.ndarray) -> np.ndarray:
+    """numpy.linalg's LAPACK `gufunc` on a finite float64 stack, under
+    numpy.linalg's error handling: non-convergence (which the gufunc flags
+    as an invalid value) and a stack whose shape does not fit the gufunc
+    raise LinAlgError, not a RuntimeWarning or a plain ValueError; over-
+    and underflow inside LAPACK are ignored."""
+    try:
+        with np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore", under="ignore"):
+            return gufunc(stack, signature=signature)
+    except LinAlgError:
+        raise
+    except ValueError as err:
+        raise LinAlgError(str(err)) from None
+
+
+def _finite(stack) -> np.ndarray:
+    """`stack` as a float64 array, refused if an entry is not finite."""
+    stack = np.asarray(stack, dtype=float)
+    if not np.isfinite(stack).all():
+        raise NonFiniteMatrixError("matrix entries must be finite")
+    return stack
+
+
 def spectral_radii(stack) -> np.ndarray:
     """Maximum eigenvalue modulus of every matrix of a (k, d, d) stack, in
     one batched eigvals (LAPACK's QR iteration); of a (d, d) matrix, as a
     0-d array."""
-    if not np.isfinite(stack).all():
-        raise NonFiniteMatrixError("matrix entries must be finite")
-    return np.abs(np.linalg.eigvals(stack)).max(axis=-1)
+    return np.abs(_lapack(_eigvals, "d->D", _finite(stack))).max(axis=-1)
 
 
 def spectral_radius(a) -> float:
     """Maximum eigenvalue modulus of A."""
-    return float(spectral_radii(as_matrix(a)))
+    return float(np.abs(_lapack(_eigvals, "d->D", as_matrix(a))).max())
 
 
 def is_schur_stable(a, tol: float = SCHUR_MARGIN) -> bool:
@@ -92,15 +128,13 @@ def is_schur_stable(a, tol: float = SCHUR_MARGIN) -> bool:
 
 def operator_norm(a) -> float:
     """Induced Euclidean (spectral) norm: the largest singular value."""
-    a = as_matrix(a)
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return float(_lapack(_svd, "d->d", as_matrix(a))[0])
 
 
 def operator_norms(stack) -> np.ndarray:
-    """`operator_norm` of every matrix of a (k, d, d) stack, in one batched SVD."""
-    if not np.all(np.isfinite(stack)):
-        raise NonFiniteMatrixError("matrix entries must be finite")
-    return np.linalg.svd(stack, compute_uv=False)[:, 0]
+    """`operator_norm` of every matrix of a (k, d, d) stack, in one batched
+    SVD; of a (d, d) matrix, as a 0-d array."""
+    return _lapack(_svd, "d->d", _finite(stack))[..., 0]
 
 
 def commutator(a, b) -> np.ndarray:

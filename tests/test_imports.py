@@ -1,6 +1,8 @@
-"""Lint: no module in src/, tests/ or demos/ imports a name it never uses.
+"""Lint: no module in src/, tests/ or demos/ imports a name it never uses,
+and `src/swstab/linalg.py` is the package's one door to LAPACK.
 
-`__init__.py` files are exempt: their imports are the package's exports.
+`__init__.py` files are exempt from the first: their imports are the
+package's exports.
 """
 
 import ast
@@ -42,3 +44,54 @@ def test_no_unused_imports():
         if (names := unused_imports(path.read_text()))
     }
     assert found == {}
+
+
+# numpy's eigenvalue and singular-value routines and the gufunc module
+# under them; only src/swstab/linalg.py may reach them, so each operation
+# has one kernel.
+LAPACK = {"eigvals", "svd", "_umath_linalg"}
+
+
+def lapack_uses(source: str) -> list[str]:
+    """Lines that reach a name of LAPACK, as an attribute or by an import."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute):
+            names = {node.attr}
+        elif isinstance(node, ast.ImportFrom):
+            names = {*(node.module or "").split("."), *(alias.name for alias in node.names)}
+        elif isinstance(node, ast.Import):
+            names = {part for alias in node.names for part in alias.name.split(".")}
+        else:
+            continue
+        found += [(node.lineno, name) for name in names & LAPACK]
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_lapack_checker_flags_attributes_and_imports():
+    source = (
+        "import numpy as np\n"
+        "np.linalg.eigvals(a)\n"
+        "from numpy.linalg import svd as s\n"
+        "import numpy.linalg._umath_linalg\n"
+        "np.linalg.norm(x)\n"
+        "from numpy.linalg._umath_linalg import eigvals\n"
+    )
+    assert lapack_uses(source) == [
+        "line 2: eigvals",
+        "line 3: svd",
+        "line 4: _umath_linalg",
+        "line 6: _umath_linalg",
+        "line 6: eigvals",
+    ]
+
+
+def test_only_linalg_calls_lapack():
+    modules = sorted((ROOT / "src" / "swstab").glob("*.py"))
+    assert len(modules) > 5
+    found = {
+        path.name: uses
+        for path in modules
+        if (uses := lapack_uses(path.read_text()))
+    }
+    assert set(found) == {"linalg.py"}

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from swstab import (
     operator_norm,
     spectral_radius,
 )
+from swstab import linalg
 from swstab.linalg import NonFiniteMatrixError, operator_norms, spectral_radii
 
 small_matrices = arrays(
@@ -92,21 +94,6 @@ def test_validation_rejects_non_finite():
         operator_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
-def test_stacked_kernels_give_the_bits_of_one_matrix_calls():
-    rng = np.random.default_rng(3)
-    for dim in (1, 2, 3, 6):
-        # At d = 2 and 3 the stack mixes matrices with real and with complex
-        # eigenvalues, so the stacked eigvals returns complex values where a
-        # one-matrix call may return real ones.
-        stack = rng.uniform(-1.0, 1.0, size=(40, dim, dim)) * 10.0 ** rng.integers(-100, 100, size=(40, 1, 1))
-        radii, norms = spectral_radii(stack), operator_norms(stack)
-        for a, r, s in zip(stack, radii, norms, strict=True):
-            assert r == float(np.max(np.abs(np.linalg.eigvals(a))))
-            assert s == float(np.linalg.svd(a, compute_uv=False)[0])
-    with pytest.raises(NonFiniteMatrixError):
-        spectral_radii(np.array([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]]))
-
-
 @settings(max_examples=50, deadline=None)
 @given(small_matrices)
 def test_spectral_radius_bounded_by_norm(a):
@@ -117,3 +104,78 @@ def test_spectral_radius_bounded_by_norm(a):
 @given(small_matrices, small_matrices)
 def test_operator_norm_submultiplicative(a, b):
     assert operator_norm(a @ b) <= operator_norm(a) * operator_norm(b) + 1e-8
+
+
+def _bit_cases(dim: int, rng) -> np.ndarray:
+    """Matrices of side `dim` with real and complex spectra, a Jordan block,
+    nilpotent and zero matrices, entries near 1e+150 and 1e-150, and entries
+    scaled by 10^-100 to 10^100 at random."""
+    plain = rng.uniform(-1.0, 1.0, size=(30, dim, dim))
+    symmetric = plain + plain.transpose(0, 2, 1)  # real spectra
+    jordan = 0.9 * np.eye(dim) + np.eye(dim, k=1)
+    nilpotent = np.triu(rng.uniform(-1.0, 1.0, size=(dim, dim)), k=1)
+    cases = [plain, symmetric, jordan[None], nilpotent[None], np.zeros((1, dim, dim))]
+    if dim > 1:
+        th = rng.uniform(0.0, math.pi, size=10)
+        rotations = np.zeros((10, dim, dim))
+        rotations[:, 0, 0] = rotations[:, 1, 1] = np.cos(th)
+        rotations[:, 0, 1], rotations[:, 1, 0] = -np.sin(th), np.sin(th)
+        cases.append(rotations * 1.5)  # complex spectra
+    stack = np.concatenate(cases)
+    scaled = plain * 10.0 ** rng.integers(-100, 100, size=(30, 1, 1))
+    return np.concatenate([stack, stack * 1e150, stack * 1e-150, scaled])
+
+
+def test_stacked_kernels_give_the_bits_of_one_matrix_calls():
+    """Stacked and one-matrix kernels give, by their bytes, the radius and
+    the norm that numpy.linalg's eigvals and svd give each matrix.  At d >= 2
+    a stack mixes matrices with real and with complex eigenvalues, so the
+    stacked eigvals returns complex values where a one-matrix numpy.linalg
+    call returns real ones."""
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 3, 4, 6, 10):
+        stack = _bit_cases(dim, rng)
+        radii = np.array([np.abs(np.linalg.eigvals(m)).max() for m in stack])
+        norms = np.array([np.linalg.svd(m, compute_uv=False)[0] for m in stack])
+        assert spectral_radii(stack).tobytes() == radii.tobytes()
+        assert operator_norms(stack).tobytes() == norms.tobytes()
+        for m, r, s in zip(stack, radii, norms, strict=True):
+            assert np.float64(spectral_radius(m)).tobytes() == r.tobytes()
+            assert np.float64(operator_norm(m)).tobytes() == s.tobytes()
+            # a bare (d, d) matrix gives a 0-d array
+            assert spectral_radii(m).shape == operator_norms(m).shape == ()
+            assert spectral_radii(m).tobytes() == r.tobytes()
+            assert operator_norms(m).tobytes() == s.tobytes()
+        empty = np.zeros((0, dim, dim))
+        assert spectral_radii(empty).shape == operator_norms(empty).shape == (0,)
+    with pytest.raises(NonFiniteMatrixError):
+        spectral_radii(np.array([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]]))
+
+
+def test_direct_kernels_refuse_stacks_numpy_linalg_refuses():
+    for bad in (np.zeros((3, 2, 3)), np.zeros(4)):
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.eigvals(bad)
+        with pytest.raises(np.linalg.LinAlgError):
+            spectral_radii(bad)
+    with pytest.raises(np.linalg.LinAlgError):
+        operator_norms(np.zeros(4))
+    with pytest.raises(NonFiniteMatrixError):
+        operator_norms(np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]]))
+
+
+@pytest.mark.parametrize("gufunc", ["_eigvals", "_svd"])
+def test_lapack_non_convergence_raises_linalg_error(monkeypatch, gufunc):
+    def not_converging(stack, signature):
+        # LAPACK's failure reaches numpy as an invalid value: a nan result
+        # with the floating-point invalid flag raised.
+        return np.sqrt(np.full(stack.shape[:-1], -1.0))
+
+    monkeypatch.setattr(linalg, gufunc, not_converging)
+    a = np.diag([0.5, 2.0])
+    calls = (spectral_radius, is_schur_stable, spectral_radii) if gufunc == "_eigvals" else (operator_norm, operator_norms)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+                call(a)
