@@ -100,7 +100,7 @@ def compute_constants(
     products leave double range has norm inf, at which no rate is
     certified."""
     n, c = family.size, comb.product
-    mats = np.stack(family.subsystems)
+    mats = family.stack
     with np.errstate(over="ignore", invalid="ignore"):
         comms = mats @ c - c @ mats
     finite = np.isfinite(comms).all(axis=(1, 2))

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,12 +15,13 @@ class MatrixFamily:
 
     Subsystem indices are 1-based everywhere in this package (index set
     {1, ..., N}); the underlying tuple is 0-based as usual.  Its matrices
-    are read-only views of one (N, d, d) float64 stack, the family's own
-    copy of the matrices it was given, which is checked for finiteness in
-    one call.
+    are read-only views of `stack`, one read-only (N, d, d) float64 array:
+    the family's own copy of the matrices it was given, checked for
+    finiteness in one call.  Stacked kernels take `stack` as it is.
     """
 
     subsystems: tuple[np.ndarray, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = [np.asarray(a, dtype=float) for a in self.subsystems]
@@ -39,6 +40,7 @@ class MatrixFamily:
         if not np.isfinite(stack).all():
             raise NonFiniteMatrixError("matrix entries must be finite")
         stack.setflags(write=False)
+        object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "subsystems", tuple(stack))
 
     @property

@@ -36,12 +36,23 @@ class NonFiniteMatrixError(ValueError):
     """A matrix has an inf or nan entry, as a product past double range does."""
 
 
+def _finite(stack) -> np.ndarray:
+    """`stack` as a float64 array (not copied if it is one), refused if an
+    entry is not finite.  Counting the finite entries is one C call, about
+    half the cost of `ndarray.all()` on a small matrix."""
+    stack = np.asarray(stack, dtype=float)
+    if np.count_nonzero(np.isfinite(stack)) != stack.size:
+        raise NonFiniteMatrixError("matrix entries must be finite")
+    return stack
+
+
 def as_matrix(a) -> np.ndarray:
-    """Validate and return a square, finite float64 matrix."""
-    m = np.array(a, dtype=float)
+    """Validate and return a square, finite float64 matrix; `a` itself, not
+    a copy, when it is one already, so callers must not write to it."""
+    m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if np.count_nonzero(np.isfinite(m)) != m.size:  # as in _finite
         raise NonFiniteMatrixError("matrix entries must be finite")
     return m
 
@@ -82,27 +93,20 @@ def _not_converged(err, flag):
     raise LinAlgError("LAPACK did not converge")
 
 
+@np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore", under="ignore")
 def _lapack(gufunc, signature: str, stack: np.ndarray) -> np.ndarray:
     """numpy.linalg's LAPACK `gufunc` on a finite float64 stack, under
     numpy.linalg's error handling: non-convergence (which the gufunc flags
     as an invalid value) and a stack whose shape does not fit the gufunc
     raise LinAlgError, not a RuntimeWarning or a plain ValueError; over-
-    and underflow inside LAPACK are ignored."""
+    and underflow inside LAPACK are ignored.  The error state is set as a
+    decorator, which builds no `errstate` object per call."""
     try:
-        with np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore", under="ignore"):
-            return gufunc(stack, signature=signature)
+        return gufunc(stack, signature=signature)
     except LinAlgError:
         raise
     except ValueError as err:
         raise LinAlgError(str(err)) from None
-
-
-def _finite(stack) -> np.ndarray:
-    """`stack` as a float64 array, refused if an entry is not finite."""
-    stack = np.asarray(stack, dtype=float)
-    if not np.isfinite(stack).all():
-        raise NonFiniteMatrixError("matrix entries must be finite")
-    return stack
 
 
 def spectral_radii(stack) -> np.ndarray:
@@ -113,8 +117,10 @@ def spectral_radii(stack) -> np.ndarray:
 
 
 def spectral_radius(a) -> float:
-    """Maximum eigenvalue modulus of A."""
-    return float(np.abs(_lapack(_eigvals, "d->D", as_matrix(a))).max())
+    """Maximum eigenvalue modulus of A.  The moduli are numpy's `abs` (a
+    Python `abs` of a complex can differ from it in the last bit), reduced
+    as a list: for a few values that is faster than `ndarray.max`."""
+    return max(np.abs(_lapack(_eigvals, "d->D", as_matrix(a))).tolist())
 
 
 def is_schur_stable(a, tol: float = SCHUR_MARGIN) -> bool:

@@ -65,7 +65,7 @@ def assert_all_unstable(family: MatrixFamily) -> list[int]:
     An empty list means the all-unstable assumption holds.  Marginal
     matrices count as unstable (see `is_schur_stable`).
     """
-    radii = spectral_radii(np.stack(family.subsystems))
+    radii = spectral_radii(family.stack)
     return [ell for ell, r in enumerate(radii, start=1) if r < 1.0 - SCHUR_MARGIN]
 
 
@@ -114,60 +114,83 @@ def find_stable_combination(
     logarithm of its norm.  Candidates, and powers of candidates, that
     leave the double range are skipped as unusable too.
 
-    The candidates are formed in scan order by one stacked matmul per
-    exponent pair (p, q), at most `batch_rows(d)` at a time, from a table
-    of powers that grows only as far as the current total exponent needs;
-    each is then classified by `is_schur_stable` on its own, in scan
-    order.  The result is the one a candidate-by-candidate scan over
-    cached powers gives, bit for bit.
+    The candidates are formed in scan order by stacked matmuls: the first
+    stack holds one exponent pair's N(N-1) candidates, and each later
+    stack twice as many as the one before, up to `batch_rows(d)`; a stack
+    may end inside an exponent pair.  They come from a table of powers
+    that grows only as far as the largest exponent of the current stack
+    needs.  Each candidate is then classified by `is_schur_stable` on its
+    own, in scan order.  The result is the one a candidate-by-candidate
+    scan over cached powers gives, bit for bit.
 
     Returns None when the bounded grid is exhausted.
     """
     if p_max < 1 or q_max < 1:
         raise ValueError("exponent bounds must be at least 1")
     n, d = family.size, family.dim
-    mats = np.stack(family.subsystems)
-    heads, tails = np.nonzero(~np.eye(n, dtype=bool))  # i != j, lexicographic
-    rows = batch_rows(d)
+    mats = family.stack
     # powers[k][l] = A_{l+1}^k by iterated left-multiplication, as
-    # mat_power computes it
+    # mat_power computes it; `table` stacks them, indexed [k, l]
     powers = [np.eye(d)[None].repeat(n, axis=0)]
     # A power or product past double range holds inf or nan entries, which
     # is_schur_stable and operator_norm refuse; such a candidate is skipped.
     with np.errstate(over="ignore", invalid="ignore"):
-        for total in range(2, p_max + q_max + 1):
-            p_lo, p_hi = max(1, total - q_max), min(p_max, total - 1)
-            while len(powers) <= max(p_hi, total - p_lo):
-                powers.append(np.matmul(mats, powers[-1]))
-            for p in range(p_lo, p_hi + 1):
-                q = total - p
-                for start in range(0, heads.size, rows):
-                    i, j = heads[start:start + rows], tails[start:start + rows]
-                    candidates = np.matmul(powers[p][i], powers[q][j])
-                    for r, candidate in enumerate(candidates):
-                        try:
-                            stable = is_schur_stable(candidate)
-                        except ValueError:
-                            continue
-                        if not stable:
-                            continue
-                        try:
-                            m, rho = compute_contraction(candidate, m_max)
-                        except ContractionError:
-                            # spectral radius barely under 1 (norms of its
-                            # powers never drop below 1 within the cap) or
-                            # powers past double range: an unusable hit,
-                            # keep scanning
-                            continue
-                        if rho == 0.0:
-                            continue
-                        return StableCombination(
-                            head=int(i[r]) + 1,
-                            tail=int(j[r]) + 1,
-                            head_power=p,
-                            tail_power=q,
-                            product=candidate.copy(),
-                            contraction_power=m,
-                            contraction_norm=rho,
-                        )
+        for p, q, i, j, top in _scan_stacks(n, p_max, q_max, batch_rows(d)):
+            if len(powers) <= top:  # always so for the first stack
+                while len(powers) <= top:
+                    powers.append(np.matmul(mats, powers[-1]))
+                table = np.stack(powers)
+            candidates = np.matmul(table[p, i], table[q, j])
+            for r, candidate in enumerate(candidates):
+                try:
+                    stable = is_schur_stable(candidate)
+                except ValueError:
+                    continue
+                if not stable:
+                    continue
+                try:
+                    m, rho = compute_contraction(candidate, m_max)
+                except ContractionError:
+                    # spectral radius barely under 1 (norms of its powers
+                    # never drop below 1 within the cap) or powers past
+                    # double range: an unusable hit, keep scanning
+                    continue
+                if rho == 0.0:
+                    continue
+                return StableCombination(
+                    head=int(i[r]) + 1,
+                    tail=int(j[r]) + 1,
+                    head_power=int(p[r]),
+                    tail_power=int(q[r]),
+                    product=candidate.copy(),
+                    contraction_power=m,
+                    contraction_norm=rho,
+                )
     return None
+
+
+def _scan_stacks(n: int, p_max: int, q_max: int, rows: int):
+    """The candidates of the scan as index arrays (p, q, i, j), i and j
+    0-based, and their largest exponent, in stacks of min(N(N-1), rows)
+    candidates and then twice the size of the stack before, up to `rows`.
+    Exponent pairs are listed one total p+q at a time, as far as the next
+    stack reaches, so a scan that stops early builds no index array the
+    size of the grid."""
+    heads, tails = np.nonzero(~np.eye(n, dtype=bool))  # i != j, lexicographic
+    per_pair = heads.size
+    totals = iter(range(2, p_max + q_max + 1))
+    ps, qs = [], []  # the exponent pairs listed so far, in scan order
+    start, size = 0, min(per_pair, rows)
+    while True:
+        while len(ps) * per_pair < start + size and (total := next(totals, None)):
+            lo, hi = max(1, total - q_max), min(p_max, total - 1)
+            ps.extend(range(lo, hi + 1))
+            qs.extend(range(total - lo, total - hi - 1, -1))
+        stop = min(start + size, len(ps) * per_pair)
+        if stop == start:
+            return
+        k, r = np.divmod(np.arange(start, stop), per_pair)
+        reached = slice(start // per_pair, -(-stop // per_pair))
+        top = max(max(ps[reached]), max(qs[reached]))
+        yield np.array(ps)[k], np.array(qs)[k], heads[r], tails[r], top
+        start, size = stop, min(2 * size, rows)

@@ -33,6 +33,16 @@ def test_subsystems_are_read_only(diag_family):
         diag_family.matrix(1)[0, 0] = 99.0
 
 
+def test_stack_is_read_only_and_holds_the_subsystems(diag_family):
+    stack = diag_family.stack
+    assert stack.shape == (2, 2, 2) and stack.dtype == np.float64
+    assert not stack.flags.writeable
+    with pytest.raises(ValueError):
+        stack[0, 0, 0] = 99.0
+    for k, a in enumerate(diag_family.subsystems):
+        assert np.shares_memory(a, stack) and np.array_equal(a, stack[k])
+
+
 def test_accepts_nested_lists():
     fam = MatrixFamily(([[2.0, 0.0], [0.0, 2.0]], [[3.0, 0.0], [0.0, 3.0]]))
     assert fam.dim == 2

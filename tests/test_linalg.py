@@ -152,6 +152,46 @@ def test_stacked_kernels_give_the_bits_of_one_matrix_calls():
         spectral_radii(np.array([np.eye(2), [[np.inf, 0.0], [0.0, 1.0]]]))
 
 
+def _layouts(m: np.ndarray) -> dict:
+    """`m` as inputs the one-matrix kernels take without copying them, and
+    as inputs they must convert: a transposed view (of m.T), a strided view,
+    Fortran order, ints, nested lists and a read-only array."""
+    strided = np.zeros((2 * m.shape[0], 3 * m.shape[1]))
+    strided[::2, ::3] = m
+    read_only = m.copy()
+    read_only.setflags(write=False)
+    return {
+        "transposed view": np.ascontiguousarray(m.T).T,
+        "strided view": strided[::2, ::3],
+        "Fortran order": np.asfortranarray(m),
+        "ints": np.rint(m * 4).astype(np.int64),
+        "nested lists": m.tolist(),
+        "read-only": read_only,
+    }
+
+
+def test_one_matrix_kernels_take_views_and_other_inputs_as_numpy_linalg_does():
+    """The one-matrix kernels no longer copy a float64 input; on views,
+    Fortran order, ints, nested lists and read-only arrays they give the
+    bits of numpy.linalg on the same input and leave it unchanged."""
+    rng = np.random.default_rng(7)
+    rotation = 1.5 * np.array([[math.cos(1.0), -math.sin(1.0)], [math.sin(1.0), math.cos(1.0)]])
+    cases = [rng.uniform(-1.0, 1.0, size=(d, d)) for d in (1, 2, 3, 4)]
+    cases += [rotation, np.diag([0.5, 0.25]), 0.9 * np.eye(3) + np.eye(3, k=1)]
+    for m in cases:
+        for name, x in _layouts(m).items():
+            before = np.array(x, dtype=float).tobytes()
+            plain = np.array(x, dtype=float)
+            radius = np.abs(np.linalg.eigvals(plain)).max()
+            norm = np.linalg.svd(plain, compute_uv=False)[0]
+            assert np.float64(spectral_radius(x)).tobytes() == radius.tobytes(), name
+            assert np.float64(operator_norm(x)).tobytes() == norm.tobytes(), name
+            assert is_schur_stable(x) == (radius < 1.0 - SCHUR_MARGIN), name
+            assert np.array(x, dtype=float).tobytes() == before, name
+            if isinstance(x, np.ndarray):
+                assert x.flags.writeable == (name != "read-only"), name
+
+
 def test_direct_kernels_refuse_stacks_numpy_linalg_refuses():
     for bad in (np.zeros((3, 2, 3)), np.zeros(4)):
         with pytest.raises(np.linalg.LinAlgError):

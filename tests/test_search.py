@@ -13,7 +13,7 @@ from swstab import (
     find_stable_combination,
     generate_random_instance,
 )
-from swstab.linalg import BATCH_ENTRIES, SCHUR_MARGIN, is_schur_stable
+from swstab.linalg import BATCH_ENTRIES, SCHUR_MARGIN, is_schur_stable, mat_power
 
 
 def test_assert_all_unstable_clean(diag_family):
@@ -165,12 +165,48 @@ def test_search_stacks_stay_within_the_entry_bound(classified, stacks):
     family = generate_random_instance(8, dim, seed=5)
     stacks.clear()
     assert find_stable_combination(family, p_max=2, q_max=2) is None
-    # the 56 ordered pairs of each (p, q) in stacks of at most 32 matrices
-    # of 64 x 64; the power table steps to exponent 2 only for total 3
-    step, pq = [(8, dim, dim)], [(32, dim, dim), (24, dim, dim)]
-    assert stacks == step + pq + step + pq * 3
+    # four exponent pairs of 56 ordered pairs each, 224 candidates in stacks
+    # of at most 32 matrices of 64 x 64, so every stack is at the bound and
+    # the second one ends inside (1, 2); the power table steps to exponent 1
+    # for the first stack and to 2 for the second, the largest it needs
+    step, stack = (8, dim, dim), (32, dim, dim)
+    assert stacks == [step, stack, step] + [stack] * 6
     assert 32 * dim * dim == BATCH_ENTRIES
     assert len(classified) == 4 * 56
+
+
+def test_full_grid_miss_forms_its_candidates_in_doubling_stacks(classified, monkeypatch):
+    family = generate_random_instance(2, 2, seed=1001)
+    calls, real_matmul = [], np.matmul
+
+    def matmul(a, b):
+        calls.append("step" if a is family.stack else len(a))
+        return real_matmul(a, b)
+
+    monkeypatch.setattr(np, "matmul", matmul)
+    assert find_stable_combination(family) is None
+    scan = [
+        (p, total - p, i, j)
+        for total in range(2, 21)
+        for p in range(max(1, total - 10), min(10, total - 1) + 1)
+        for i, j in ((0, 1), (1, 0))
+    ]
+    # 200 candidates in 7 stacked products, each twice the one before
+    assert [c for c in calls if c != "step"] == [2, 4, 8, 16, 32, 64, 74]
+    # before each stack the power table steps to its largest exponent
+    steps = start = 0
+    for c in calls:
+        if c == "step":
+            steps += 1
+            continue
+        assert steps == max(max(p, q) for p, q, _, _ in scan[start:start + c])
+        start += c
+    # each candidate classified once, in scan order, with the bits of the
+    # product of its own powers
+    a = family.subsystems
+    assert len(classified) == len(scan) == 200
+    for got, (p, q, i, j) in zip(classified, scan):
+        assert got.tobytes() == (mat_power(a[i], p) @ mat_power(a[j], q)).tobytes()
 
 
 def test_non_finite_candidate_leaves_its_stack_usable(classified):

@@ -13,8 +13,13 @@ end-to-end metric the median of each side, the distance between the
 quartiles of PARENT's runs, the number of pairs in which CHANGE was
 better (by the metric's ``better`` direction), and whether CHANGE's
 median is worse than PARENT's by more than the metric's ``bound`` (a
-fraction of PARENT's median).  It exits 1 if any run is not ``correct``
-or has failed ops, or if any median is worse past its bound.
+fraction of PARENT's median).  Below that it prints the slowest ops, from
+each run's ``details.op_ms`` (the line before the result): for each rank
+r from the slowest op down to the one that sets ``op_tail_ms``, the median
+over each side's runs of its r-th slowest op, the median of CHANGE's time
+for the op that was PARENT's r-th slowest in the same pair, and that op's
+index at seed 0.  It exits 1 if any run is not ``correct`` or has failed
+ops, or if any median is worse past its bound.
 """
 
 from __future__ import annotations
@@ -29,7 +34,8 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 
 
-def run(checkout: Path, spec: dict, workload: str, seed: int) -> dict:
+def run(checkout: Path, spec: dict, workload: str, seed: int) -> tuple[dict, dict]:
+    """One benchmark run: its details line and its result line."""
     cmd = spec["command"] + [
         "--workload", workload, "--seed", str(seed),
         "--seconds", str(spec["run_seconds"]), "--trace", "0",
@@ -37,7 +43,8 @@ def run(checkout: Path, spec: dict, workload: str, seed: int) -> dict:
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900)
     if proc.returncode != 0:
         sys.exit(f"ab_pairs: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    details, result = proc.stdout.strip().splitlines()[-2:]
+    return json.loads(details), json.loads(result)
 
 
 def worse_past_bound(metric: dict, parent: float, change: float) -> bool:
@@ -52,12 +59,14 @@ def compare(sides: dict, spec: dict, workload: str, pairs: int) -> bool:
     returns whether every run was clean and no median is worse past its bound."""
     metrics = spec["end_to_end"]
     results = {side: [] for side in sides}
+    op_ms = {side: [] for side in sides}
     clean = True
     for k in range(pairs):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         for side in order:
-            result = run(sides[side], spec, workload, k)
+            details, result = run(sides[side], spec, workload, k)
             results[side].append({name: v["value"] for name, v in result["metrics"].items()})
+            op_ms[side].append(details["op_ms"])
             clean &= result["correct"] and result["failed"] == 0
             shown = " ".join(f"{m['name']}={results[side][-1][m['name']]:.4g}" for m in metrics)
             print(f"{workload} pair {k} {side}: correct={result['correct']} failed={result['failed']} {shown}",
@@ -76,8 +85,24 @@ def compare(sides: dict, spec: dict, workload: str, pairs: int) -> bool:
         within &= not worse
         print(f"{name:<12} {p50:>12.4g} {c50:>12.4g} {q3 - q1:>12.4g}  {f'{won}/{pairs}':>10}"
               f"  {'YES' if worse else 'no'} (bound {m['bound']:.0%})", flush=True)
+    print_slowest_ops(op_ms, details["op_tail"])
     print()
     return clean and within
+
+
+def print_slowest_ops(op_ms: dict, op_tail: dict) -> None:
+    """The slowest ops of each side, down to the one that sets op_tail_ms
+    (`op_tail` is a run's details entry: its percentile and sample count)."""
+    ranks = op_tail["samples"] - round(op_tail["percentile"] * op_tail["samples"] / 100) + 1
+    # per pair, the op indices of PARENT's run from its slowest op down
+    parent_order = [sorted(range(len(ms)), key=ms.__getitem__, reverse=True) for ms in op_ms["parent"]]
+    print(f"\nslowest ops (ms; rank {ranks} sets op_tail_ms)")
+    print(f"{'rank':<6} {'parent':>10} {'change':>10} {'change on parent op':>20}  parent op at seed 0")
+    for r in range(ranks):
+        own = {side: statistics.median(sorted(ms, reverse=True)[r] for ms in runs) for side, runs in op_ms.items()}
+        same_op = statistics.median(ms[order[r]] for ms, order in zip(op_ms["change"], parent_order))
+        print(f"{r + 1:<6} {own['parent']:>10.4g} {own['change']:>10.4g} {same_op:>20.4g}  {parent_order[0][r]}",
+              flush=True)
 
 
 def main(argv=None) -> int:
