@@ -16,6 +16,7 @@ from .certificate import (
     CertificateInputs,
     check_certificate,
     compute_constants,
+    correction_bounds,
     max_certified_rate,
     rate_upper_limit,
 )
@@ -53,7 +54,6 @@ from .oracle import (
     ProductDecomposition,
     basis_length,
     capped_envelope,
-    correction_bounds,
     decompose_product,
     envelope_constant,
     envelope_constant_bound,

@@ -146,6 +146,16 @@ def _lhs_terms(inputs: CertificateInputs, rate: float) -> tuple[float, float]:
     return term1, math.exp(log_term2)
 
 
+def correction_bounds(inputs: CertificateInputs) -> tuple[int, float]:
+    """A-priori bounds on `swstab.oracle.decompose_product`'s correction:
+    at most N*m*(m+1)/2 terms, of total norm at most the certificate's
+    second term at rate 0, N*m*(m+1)/2 * M1^(m*N-1) * M2^(m-1) * eps.
+    The norm bound is 0 when eps is and inf when its logarithm passes
+    _LOG_DBL_MAX."""
+    n, m = inputs.n_subsystems, inputs.contraction_power
+    return n * m * (m + 1) // 2, _lhs_terms(inputs, 0.0)[1]
+
+
 def rate_upper_limit(inputs: CertificateInputs) -> float:
     """Largest rate allowed by the contraction condition alone.
 

@@ -23,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .certificate import AssumptionError, check_certificate
+from .certificate import AssumptionError, check_certificate, correction_bounds
 from .family import MatrixFamily
 from .graph import POLICIES, build_graph, generate_walk, walk_for_horizon, walk_to_signal
 from .instances import InstanceParseError, generate_random_instance, parse_instance, write_instance
@@ -31,7 +31,6 @@ from .linalg import NonFiniteMatrixError, operator_norm
 from .oracle import (
     basis_length,
     capped_envelope,
-    correction_bounds,
     decompose_product,
     exchange_identity_residual,
 )

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import NonFiniteMatrixError
+from .linalg import _finite
 
 
 @dataclass(frozen=True)
@@ -36,9 +36,7 @@ class MatrixFamily:
                 raise ValueError(
                     f"subsystem {k} has dim {a.shape[0]}, expected {dim}"
                 )
-        stack = np.array(mats)
-        if not np.isfinite(stack).all():
-            raise NonFiniteMatrixError("matrix entries must be finite")
+        stack = _finite(np.array(mats))
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "subsystems", tuple(stack))

@@ -10,7 +10,6 @@ a plain vertex dwells one step, the hub runs the combination block
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -222,10 +221,11 @@ class SwitchingSignal:
         return len(self.steps)
 
     def write_csv(self, path) -> None:
+        """The header `t,sigma` and one row per step, CRLF-terminated as the
+        csv module writes them; one write."""
+        rows = "".join(f"{t},{ell}\r\n" for t, ell in enumerate(self.steps))
         with open(path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["t", "sigma"])
-            writer.writerows(enumerate(self.steps))
+            f.write("t,sigma\r\n" + rows)
 
 
 def walk_to_signal(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import RATE_SAFETY, CertificateInputs
+from .certificate import _LOG_DBL_MAX, RATE_SAFETY
 from .family import MatrixFamily
 from .graph import build_graph, walk_to_signal
 from .linalg import NonFiniteMatrixError, commutator, mat_power, operator_norm, operator_norms
@@ -74,11 +74,9 @@ def exchange_identity_residual(family: MatrixFamily, comb) -> float:
     floating-point rounding and should sit at the 1e-12 * scale level.
     """
     c = comb.product if isinstance(comb, StableCombination) else np.asarray(comb, float)
-    worst = 0.0
-    for a in family.subsystems:
-        e = commutator(a, c)
-        worst = max(worst, operator_norm(a @ c - (c @ a + e)))
-    return worst
+    mats = family.stack
+    comms = mats @ c - c @ mats
+    return float(operator_norms(mats @ c - (c @ mats + comms)).max())
 
 
 @dataclass(frozen=True)
@@ -116,6 +114,8 @@ class EnvelopeProfile:
         leaves double range, every duration is ranked by its logarithm,
         ln peak + rate * t, and the ratio is inf only if it leaves range too.
         """
+        if c <= 0.0:
+            raise ValueError("envelope constant must be positive")
         horizon = self.horizon if horizon is None else horizon
         if not 0 <= horizon <= self.horizon:
             raise ValueError(f"horizon {horizon} outside the profile's 0..{self.horizon}")
@@ -147,14 +147,12 @@ class EnvelopeProfile:
 
 def _times_exp(x: float, y: float) -> float:
     """x * exp(y) for a finite x >= 0: exactly that while exp(y) fits in a
-    double, and past that in log space, inf only when the value itself
-    leaves double range."""
-    if y <= 709.0:
+    double, and past that in log space, inf once the value's logarithm
+    passes _LOG_DBL_MAX."""
+    if y <= _LOG_DBL_MAX:
         return x * math.exp(y)
-    try:
-        return math.exp(math.log(x) + y) if x > 0.0 else 0.0
-    except OverflowError:
-        return math.inf
+    log = math.log(x) + y if x > 0.0 else -math.inf
+    return math.exp(log) if log <= _LOG_DBL_MAX else math.inf
 
 
 def _unit_step_nodes(family: MatrixFamily, comb: StableCombination) -> list:
@@ -345,9 +343,9 @@ def envelope_constant_bound(
     """
     if horizon is None:
         horizon = basis_length(family, comb)
-    m1 = max(operator_norm(a) for a in family.subsystems)
+    m1 = float(operator_norms(family.stack).max())
     log_c = horizon * (math.log(m1) + rate)
-    return math.inf if log_c > 709.0 else max(1.0, math.exp(log_c))
+    return math.inf if log_c > _LOG_DBL_MAX else max(1.0, math.exp(log_c))
 
 
 def capped_envelope(
@@ -368,8 +366,11 @@ def capped_envelope(
     `envelope_constant_bound` and the method "norm-bound".
     """
     basis = basis_length(family, comb)
+    horizon = basis if horizon is None else horizon
+    if horizon < basis:
+        raise ValueError(f"horizon {horizon} below the basis length {basis}")
     reason = None
-    for h in (basis,) if horizon in (None, basis) else (horizon, basis):
+    for h in (basis,) if horizon == basis else (horizon, basis):
         try:
             profile = envelope_profile(family, comb, h, cap)
         except EnumerationCapExceeded:
@@ -398,8 +399,6 @@ def exhaustive_bound_check(
     the walk (and time within it) achieving it; a value <= 1 certifies the
     envelope exhaustively up to `horizon`.
     """
-    if c <= 0.0:
-        raise ValueError("envelope constant must be positive")
     return envelope_profile(family, comb, horizon, cap).bound_check(rate, c)
 
 
@@ -428,27 +427,6 @@ def sound_certified_rate(
     """
     horizon = basis_length(family, comb) + comb.block_duration - 1
     return envelope_profile(family, comb, horizon, cap).sound_rate()
-
-
-def correction_bounds(inputs: CertificateInputs) -> tuple[int, float]:
-    """A-priori bounds on `decompose_product`'s correction: at most
-    N*m*(m+1)/2 terms, each of norm at most M1^(m*N-1) * M2^(m-1) * eps.
-    The norm bound is 0 when eps is and inf when a power leaves double
-    range."""
-    n, m = inputs.n_subsystems, inputs.contraction_power
-    count = n * m * (m + 1) // 2
-    if inputs.max_commutator_norm == 0.0:
-        return count, 0.0
-    try:
-        norm = (
-            count
-            * inputs.max_subsystem_norm ** (m * n - 1)
-            * inputs.combination_norm ** (m - 1)
-            * inputs.max_commutator_norm
-        )
-    except OverflowError:  # a float power past double range raises, not gives inf
-        norm = math.inf
-    return count, norm
 
 
 def decompose_product(

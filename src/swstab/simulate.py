@@ -79,10 +79,10 @@ def _step_matrices(
 
 def _step(mats: list[np.ndarray], states: np.ndarray) -> None:
     """Fill states[1:] from states[0] by x = states[t] = a @ x, one matmul
-    per step and no product caching.  `states` is (T+1, d) for one trial
-    or (T+1, k, d, 1) for a stack of k; numpy multiplies each (d, 1) slice
-    of a stack with the bits of (d, d) @ (d,), which a plain (d, d) @ (d, k)
-    product does not give."""
+    per step and no product caching.  `states` is (T+1, d) for one trial,
+    (T+1, k, d, 1) for a stack of k, or (T+1, d, d) for prefix products;
+    numpy multiplies each (d, 1) slice of a stack with the bits of
+    (d, d) @ (d,), which a plain (d, d) @ (d, k) product does not give."""
     x = states[0]
     for t, a in enumerate(mats, start=1):
         x = states[t] = a @ x
@@ -154,9 +154,8 @@ def product_norms(
     """
     mats = _step_matrices(family, signal, horizon)
     stack = np.empty((horizon + 1, family.dim, family.dim))
-    p = stack[0] = np.eye(family.dim)
-    for t, a in enumerate(mats, start=1):
-        p = stack[t] = a @ p
+    stack[0] = np.eye(family.dim)
+    _step(mats, stack)
     return operator_norms(stack)
 
 

@@ -1,3 +1,5 @@
+import csv
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,12 @@ def test_signal_csv_roundtrip(tmp_path, diag_comb):
     assert len(lines) == sig.duration + 1
     parsed = [int(line.split(",")[1]) for line in lines[1:]]
     assert parsed == list(sig.steps)
+    # the bytes of the csv.writer that write_csv replaced
+    with open(tmp_path / "want.csv", "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(["t", "sigma"])
+        writer.writerows(enumerate(sig.steps))
+    assert path.read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 def test_max_stable_gap():

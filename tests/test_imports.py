@@ -1,11 +1,13 @@
 """Lint: no module in src/, tests/ or demos/ imports a name it never uses,
-and `src/swstab/linalg.py` is the package's one door to LAPACK.
+`src/swstab` imports only numpy, the standard library and itself, and
+`src/swstab/linalg.py` is the package's one door to LAPACK.
 
 `__init__.py` files are exempt from the first: their imports are the
 package's exports.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,6 +44,48 @@ def test_no_unused_imports():
         str(path.relative_to(ROOT)): names
         for path in FILES
         if (names := unused_imports(path.read_text()))
+    }
+    assert found == {}
+
+
+# pyproject.toml declares numpy as the package's one dependency.
+ALLOWED = {"numpy", "swstab", *sys.stdlib_module_names}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Lines that import a module outside ALLOWED; relative imports are the
+    package's own."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names if name.split(".")[0] not in ALLOWED]
+    return found
+
+
+def test_foreign_import_checker_flags_other_packages():
+    source = (
+        "import os, scipy.linalg\n"
+        "from numpy.linalg import norm\n"
+        "from . import linalg\n"
+        "from swstab.graph import build_graph\n"
+        "from hypothesis import given\n"
+        "from __future__ import annotations\n"
+    )
+    assert foreign_imports(source) == ["line 1: scipy.linalg", "line 5: hypothesis"]
+
+
+def test_src_imports_only_numpy_and_the_standard_library():
+    modules = sorted((ROOT / "src" / "swstab").glob("*.py"))
+    assert len(modules) > 5
+    found = {
+        path.name: names
+        for path in modules
+        if (names := foreign_imports(path.read_text()))
     }
     assert found == {}
 

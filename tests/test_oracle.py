@@ -172,6 +172,18 @@ def test_bound_check_past_exp_range():
     assert (check.max_ratio, check.witness_walk, check.witness_time) == (math.inf, (1, 2, 1), 3)
 
 
+def test_bound_check_refuses_a_nonpositive_constant(diag_family, diag_comb):
+    # c = 0 divided by zero, or hit a math domain error past exp range; c =
+    # -1 gave a negative max_ratio, which reads as PASS.
+    profile = envelope_profile(diag_family, diag_comb, horizon=4)
+    for c in (0.0, -1.0):
+        for rate in (0.3, 400.0):
+            with pytest.raises(ValueError, match="envelope constant must be positive"):
+                profile.bound_check(rate, c)
+        with pytest.raises(ValueError, match="envelope constant must be positive"):
+            exhaustive_bound_check(diag_family, diag_comb, 0.3, c, horizon=4)
+
+
 def test_bound_check_ranks_overflowing_durations_by_logarithm():
     # At rate 100, peak * exp(rate * t) leaves double range at t = 2
     # (e^890.8) and t = 3 (e^1002.3).  The larger is the witness, though
@@ -383,6 +395,11 @@ def test_capped_envelope_says_why_its_scan_fell_short(diag_comb):
     assert got == (math.inf, "norm-bound", "products past double range")
 
 
+def test_capped_envelope_refuses_a_horizon_below_the_basis(diag_family, diag_comb):
+    with pytest.raises(ValueError, match="below the basis length 4"):
+        capped_envelope(diag_family, diag_comb, 0.1, 2)
+
+
 def test_signal_and_oracle_agree_on_the_step_order(
     diag_family, diag_comb, shear_family, shear_comb
 ):
@@ -515,8 +532,8 @@ def test_decomposition_noncommuting_family(shear_family, shear_comb):
 
 
 def test_correction_bounds_past_double_range():
-    # 1e160 ** 2 overflows a Python float power; the bound is then inf, and
-    # 0 whenever the commutators vanish (not 0 * inf = nan).
+    # The bound's logarithm, ln 3 + 2 ln 1e160 ~ 737.9, passes 709, so the
+    # bound is inf; it is 0 whenever the commutators vanish (not 0 * inf = nan).
     inputs = CertificateInputs(
         n_subsystems=3, max_subsystem_norm=1e160, combination_norm=2.0,
         max_commutator_norm=1.0, contraction_power=1, contraction_norm=0.5,
@@ -524,6 +541,20 @@ def test_correction_bounds_past_double_range():
     )
     assert correction_bounds(inputs) == (3, math.inf)
     assert correction_bounds(dataclasses.replace(inputs, max_commutator_norm=0.0)) == (3, 0.0)
+
+
+def test_correction_bound_stays_finite_where_a_power_overflows():
+    # 1e160 ** 2 leaves double range, but the bound 3 * 1e160**2 * 1e-100
+    # = 3e220 does not: it is the certificate's second term at rate 0,
+    # taken in log space.
+    inputs = CertificateInputs(
+        n_subsystems=3, max_subsystem_norm=1e160, combination_norm=2.0,
+        max_commutator_norm=1e-100, contraction_power=1, contraction_norm=0.5,
+        head_power=1, tail_power=1,
+    )
+    count, norm = correction_bounds(inputs)
+    assert count == 3
+    assert norm == pytest.approx(3.0e220, rel=1e-12)
 
 
 def test_decomposition_validates_segment(shear_family, shear_comb):

@@ -13,7 +13,9 @@ end-to-end metric the median of each side, the distance between the
 quartiles of PARENT's runs, the number of pairs in which CHANGE was
 better (by the metric's ``better`` direction), and whether CHANGE's
 median is worse than PARENT's by more than the metric's ``bound`` (a
-fraction of PARENT's median).  Below that it prints the slowest ops, from
+fraction of PARENT's median): ``YES``, ``no``, or ``unresolved`` where
+it is not worse past its bound but PARENT's quartiles lie further apart
+than that bound, unless every CHANGE run beats every PARENT run.  Below that it prints the slowest ops, from
 each run's ``details.op_ms`` (the line before the result): for each rank
 r from the slowest op down to the one that sets ``op_tail_ms``, the median
 over each side's runs of its r-th slowest op, the median of CHANGE's time
@@ -83,8 +85,13 @@ def compare(sides: dict, spec: dict, workload: str, pairs: int) -> bool:
         p50, c50 = statistics.median(parent), statistics.median(change)
         worse = worse_past_bound(m, p50, c50)
         within &= not worse
+        # a spread wider than the bound cannot show a move within it
+        unresolved = q3 - q1 > m["bound"] * p50 and not all(
+            sign * (c - q) > 0 for q in parent for c in change
+        )
+        verdict = "YES" if worse else "unresolved" if unresolved else "no"
         print(f"{name:<12} {p50:>12.4g} {c50:>12.4g} {q3 - q1:>12.4g}  {f'{won}/{pairs}':>10}"
-              f"  {'YES' if worse else 'no'} (bound {m['bound']:.0%})", flush=True)
+              f"  {verdict} (bound {m['bound']:.0%})", flush=True)
     print_slowest_ops(op_ms, details["op_tail"])
     print()
     return clean and within
