@@ -59,11 +59,9 @@ def as_matrix(a) -> np.ndarray:
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Validate and return a finite float64 vector, optionally of a fixed dim."""
-    v = np.array(x, dtype=float).reshape(-1)
+    v = _finite(np.array(x, dtype=float).reshape(-1))
     if v.size < 1:
         raise ValueError("vector must have at least one entry")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("vector entries must be finite")
     if dim is not None and v.size != dim:
         raise ValueError(f"expected a vector of dim {dim}, got {v.size}")
     return v

@@ -78,14 +78,19 @@ def _step_matrices(
 
 
 def _step(mats: list[np.ndarray], states: np.ndarray) -> None:
-    """Fill states[1:] from states[0] by x = states[t] = a @ x, one matmul
-    per step and no product caching.  `states` is (T+1, d) for one trial,
-    (T+1, k, d, 1) for a stack of k, or (T+1, d, d) for prefix products;
-    numpy multiplies each (d, 1) slice of a stack with the bits of
-    (d, d) @ (d,), which a plain (d, d) @ (d, k) product does not give."""
+    """Fill states[1:] from states[0], writing each step's `a @ x` straight
+    into its row by one BLAS call, with no temporary and no product caching.
+    `states` is (T+1, d) for one trial, (T+1, d, d) for prefix products, or
+    (T+1, k, d, 1) for a stack of k trials.  `np.dot` is the cheaper call,
+    but where the last axis has length 1 it contracts the wrong axis of a
+    stack and takes a 1 x 1 matrix as a scalar (keeping a -0.0 that
+    matmul's sum makes +0.0), so `np.matmul` steps there.  numpy multiplies
+    each (d, 1) slice of a stack with the bits of (d, d) @ (d,), which a
+    plain (d, d) @ (d, k) product does not give."""
+    product = np.dot if states.shape[-1] > 1 else np.matmul
     x = states[0]
-    for t, a in enumerate(mats, start=1):
-        x = states[t] = a @ x
+    for a, row in zip(mats, states[1:]):
+        x = product(a, x, out=row)
 
 
 def simulate(
@@ -96,10 +101,11 @@ def simulate(
 ) -> Trajectory:
     """Step the switched recursion x(t+1) = A_sigma(t) x(t) for `horizon` steps.
 
-    Each state is the step matrix times the previous state, so states[t]
-    need not carry the bits of (A_sigma(t-1) ... A_sigma(0)) @ x0 formed
-    from the accumulated product; `seeded_trials` gives every trial of a
-    stack the bits of this function.
+    Each state is the step matrix times the previous state, written into
+    its row of `states` by one BLAS call (`_step`), so states[t] need not
+    carry the bits of (A_sigma(t-1) ... A_sigma(0)) @ x0 formed from the
+    accumulated product; `seeded_trials` gives every trial of a stack the
+    bits of this function.
     """
     x = as_vector(x0, family.dim)
     mats = _step_matrices(family, signal, horizon)
@@ -155,7 +161,9 @@ def product_norms(
     mats = _step_matrices(family, signal, horizon)
     stack = np.empty((horizon + 1, family.dim, family.dim))
     stack[0] = np.eye(family.dim)
-    _step(mats, stack)
+    # products past double range hold inf/nan, which operator_norms refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        _step(mats, stack)
     return operator_norms(stack)
 
 

@@ -9,13 +9,18 @@ in the checkouts PARENT and CHANGE, one run at a time for
 turn.  Pair k runs both at seed k, PARENT first in even pairs and CHANGE
 first in odd ones, so a drift of the host's speed falls on both sides
 alike.  It prints each run as it ends, then for every workload and
-end-to-end metric the median of each side, the distance between the
-quartiles of PARENT's runs, the number of pairs in which CHANGE was
-better (by the metric's ``better`` direction), and whether CHANGE's
-median is worse than PARENT's by more than the metric's ``bound`` (a
-fraction of PARENT's median): ``YES``, ``no``, or ``unresolved`` where
-it is not worse past its bound but PARENT's quartiles lie further apart
-than that bound, unless every CHANGE run beats every PARENT run.  Below that it prints the slowest ops, from
+end-to-end metric the median and the quartiles (q1-q3) of each side,
+the ratio CHANGE/PARENT of the medians, the distance between the
+quartiles of PARENT's runs (its IQR), the number of pairs in which
+CHANGE was better (by the metric's ``better`` direction), whether a gain
+is shown, and whether CHANGE's median is worse than PARENT's by more
+than the metric's ``bound`` (a fraction of PARENT's median).  A gain is
+shown (``yes``) when CHANGE wins at least nine tenths of the pairs, ties
+counting for neither, and its median is better than PARENT's by more
+than PARENT's IQR.  Worse past bound reads ``YES``, ``no``, or
+``unresolved`` where it is not worse past its bound but PARENT's IQR is
+wider than that bound, unless every CHANGE run beats every PARENT run.
+Below that it prints the slowest ops, from
 each run's ``details.op_ms`` (the line before the result): for each rank
 r from the slowest op down to the one that sets ``op_tail_ms``, the median
 over each side's runs of its r-th slowest op, the median of CHANGE's time
@@ -56,6 +61,13 @@ def worse_past_bound(metric: dict, parent: float, change: float) -> bool:
     return change > parent * (1 + metric["bound"])
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """q1, median and q3 of one side's runs (all three the run itself for one run)."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4))
+
+
 def compare(sides: dict, spec: dict, workload: str, pairs: int) -> bool:
     """Run `pairs` alternating pairs of one workload and print its table;
     returns whether every run was clean and no median is worse past its bound."""
@@ -74,15 +86,16 @@ def compare(sides: dict, spec: dict, workload: str, pairs: int) -> bool:
             print(f"{workload} pair {k} {side}: correct={result['correct']} failed={result['failed']} {shown}",
                   flush=True)
     print(f"\n{workload}: {pairs} pairs, seeds 0-{pairs - 1}, {spec['run_seconds']} s per run")
-    print(f"{'metric':<12} {'parent':>12} {'change':>12} {'parent IQR':>12}  change won  worse past bound")
+    print(f"{'metric':<12} {'parent':>10} {'parent q1-q3':>21} {'change':>10} {'change q1-q3':>21}"
+          f" {'change/parent':>13} {'parent IQR':>10}  change won  gain shown  worse past bound")
     within = True
     for m in metrics:
         name, sign = m["name"], 1 if m["better"] == "higher" else -1
         parent = [r[name] for r in results["parent"]]
         change = [r[name] for r in results["change"]]
         won = sum(sign * (c - q) > 0 for q, c in zip(parent, change))
-        q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (parent[0],) * 3
-        p50, c50 = statistics.median(parent), statistics.median(change)
+        (q1, p50, q3), (c1, c50, c3) = quartiles(parent), quartiles(change)
+        gain = 10 * won >= 9 * pairs and sign * (c50 - p50) > q3 - q1
         worse = worse_past_bound(m, p50, c50)
         within &= not worse
         # a spread wider than the bound cannot show a move within it
@@ -90,7 +103,9 @@ def compare(sides: dict, spec: dict, workload: str, pairs: int) -> bool:
             sign * (c - q) > 0 for q in parent for c in change
         )
         verdict = "YES" if worse else "unresolved" if unresolved else "no"
-        print(f"{name:<12} {p50:>12.4g} {c50:>12.4g} {q3 - q1:>12.4g}  {f'{won}/{pairs}':>10}"
+        ratio = f"{c50 / p50:.4f}" if p50 else "-"
+        print(f"{name:<12} {p50:>10.4g} {f'{q1:.4g}-{q3:.4g}':>21} {c50:>10.4g} {f'{c1:.4g}-{c3:.4g}':>21}"
+              f" {ratio:>13} {q3 - q1:>10.4g}  {f'{won}/{pairs}':>10}  {'yes' if gain else 'no':>10}"
               f"  {verdict} (bound {m['bound']:.0%})", flush=True)
     print_slowest_ops(op_ms, details["op_tail"])
     print()
