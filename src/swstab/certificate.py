@@ -41,6 +41,11 @@ BOUNDARY_TOL = 1e-12
 _LOG_DBL_MAX = 709.0  # log(DBL_MAX) rounded down
 
 
+def _exp_or_inf(log: float) -> float:
+    """exp(log) while it fits in a double, inf once log passes _LOG_DBL_MAX."""
+    return math.exp(log) if log <= _LOG_DBL_MAX else math.inf
+
+
 class AssumptionError(ValueError):
     """The family breaks the all-unstable assumption the certificate rests on."""
 
@@ -120,30 +125,23 @@ def compute_constants(
 def _lhs_terms(inputs: CertificateInputs, rate: float) -> tuple[float, float]:
     """Both certificate terms; the second one in log-space to dodge overflow.
 
-    Returns (term1, term2) with math.inf standing in for an overflowing
-    second term.
+    Returns (term1, term2) with math.inf standing in for a term past the
+    double range.
     """
     m = inputs.contraction_power
     n = inputs.n_subsystems
-    exp1 = rate * m * inputs.block_duration
-    if exp1 > _LOG_DBL_MAX:
-        return math.inf, math.inf
-    term1 = inputs.contraction_norm * math.exp(exp1)
     eps = inputs.max_commutator_norm
-    if eps == 0.0:
-        return term1, 0.0
+    term1 = inputs.contraction_norm * _exp_or_inf(rate * m * inputs.block_duration)
     log_term2 = (
         math.log(n)
         + math.log(m * (m + 1) / 2.0)
         + (m * n - 1) * math.log(inputs.max_subsystem_norm)
         + (m - 1) * math.log(inputs.combination_norm)
-        + math.log(eps)
+        + (math.log(eps) if eps > 0.0 else -math.inf)
         + rate * m * inputs.block_duration
         + rate * m * n
     )
-    if log_term2 > _LOG_DBL_MAX:
-        return term1, math.inf
-    return term1, math.exp(log_term2)
+    return term1, _exp_or_inf(log_term2)
 
 
 def correction_bounds(inputs: CertificateInputs) -> tuple[int, float]:
@@ -207,7 +205,7 @@ def check_certificate(
     best = max_certified_rate(inputs)
     if rate is None:
         rate = 0.0 if best is None else best * (1.0 - RATE_SAFETY)
-    elif rate <= 0.0:
+    elif not rate > 0.0:
         raise ValueError("decay rate must be positive")
     # term1 is the contraction condition's left side, inf past the double range
     term1, term2 = _lhs_terms(inputs, rate)

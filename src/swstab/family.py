@@ -25,17 +25,13 @@ class MatrixFamily:
 
     def __post_init__(self):
         mats = [np.asarray(a, dtype=float) for a in self.subsystems]
-        for a in mats:
+        for k, a in enumerate(mats, start=1):
             if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
                 raise ValueError(f"expected a square matrix, got shape {a.shape}")
+            if a.shape[0] != mats[0].shape[0]:
+                raise ValueError(f"subsystem {k} has dim {a.shape[0]}, expected {mats[0].shape[0]}")
         if len(mats) < 2:
             raise ValueError("a family needs at least two subsystems")
-        dim = mats[0].shape[0]
-        for k, a in enumerate(mats, start=1):
-            if a.shape[0] != dim:
-                raise ValueError(
-                    f"subsystem {k} has dim {a.shape[0]}, expected {dim}"
-                )
         stack = _finite(np.array(mats))
         stack.setflags(write=False)
         object.__setattr__(self, "stack", stack)

@@ -29,16 +29,16 @@ class SwitchGraph:
         if self.n_subsystems < 1:
             raise ValueError("need at least one subsystem vertex")
         n, hub = self.n_subsystems, self.n_subsystems + 1
-        chain = {(ell, ell + 1) for ell in range(1, n)}
-        into_hub = {(ell, hub) for ell in range(1, n + 1)}
-        from_hub = {(hub, ell) for ell in range(1, n + 1)}
-        edges = frozenset(chain | into_hub | from_hub)
         # out[v]: the sorted out-neighbours of vertex v; out[0] holds the
-        # vertices a walk may start at.
-        out = tuple(
-            [tuple(range(1, hub + 1))]
-            + [tuple(sorted(w for (u, w) in edges if u == v)) for v in range(1, hub + 1)]
+        # vertices a walk may start at.  A plain vertex goes up the chain
+        # and into the hub, the last one only into the hub, and the hub
+        # back to every plain vertex.
+        out = (
+            (tuple(range(1, hub + 1)),)
+            + tuple((ell + 1, hub) for ell in range(1, n))
+            + ((hub,), tuple(range(1, hub)))
         )
+        edges = frozenset((v, w) for v in range(1, hub + 1) for w in out[v])
         object.__setattr__(self, "_edges", edges)
         object.__setattr__(self, "_out", out)
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certificate import _LOG_DBL_MAX, RATE_SAFETY
+from .certificate import _LOG_DBL_MAX, RATE_SAFETY, _exp_or_inf
 from .family import MatrixFamily
 from .graph import build_graph, walk_to_signal
 from .linalg import NonFiniteMatrixError, commutator, mat_power, operator_norm, operator_norms
@@ -114,8 +114,10 @@ class EnvelopeProfile:
         leaves double range, every duration is ranked by its logarithm,
         ln peak + rate * t, and the ratio is inf only if it leaves range too.
         """
-        if c <= 0.0:
+        if not c > 0.0:
             raise ValueError("envelope constant must be positive")
+        if math.isnan(rate):
+            raise ValueError("rate must not be NaN")
         horizon = self.horizon if horizon is None else horizon
         if not 0 <= horizon <= self.horizon:
             raise ValueError(f"horizon {horizon} outside the profile's 0..{self.horizon}")
@@ -126,7 +128,7 @@ class EnvelopeProfile:
             values = [math.log(p) + rate * t if p > 0.0 else -math.inf for t, p in zip(ts, self.peaks)]
         t_best = min(ts, key=lambda t: (-values[t], self.walks[t], t))
         return BoundCheck(
-            max_ratio=values[t_best] / c if in_range else _times_exp(1.0, values[t_best] - math.log(c)),
+            max_ratio=values[t_best] / c if in_range else _exp_or_inf(values[t_best] - math.log(c)),
             witness_walk=self.walks[t_best],
             witness_time=t_best,
             products_checked=sum(self.counts[1 : horizon + 1]),
@@ -151,8 +153,7 @@ def _times_exp(x: float, y: float) -> float:
     passes _LOG_DBL_MAX."""
     if y <= _LOG_DBL_MAX:
         return x * math.exp(y)
-    log = math.log(x) + y if x > 0.0 else -math.inf
-    return math.exp(log) if log <= _LOG_DBL_MAX else math.inf
+    return _exp_or_inf(math.log(x) + y if x > 0.0 else -math.inf)
 
 
 def _unit_step_nodes(family: MatrixFamily, comb: StableCombination) -> list:
@@ -236,18 +237,18 @@ def _screen(prods: np.ndarray, peak: float) -> np.ndarray:
     lo <= sigma <= hi, widened by SCREEN_MARGIN for rounding.  A product
     with hi <= peak cannot raise the peak, and one with hi below another's
     lo cannot tie it, so the first largest norm among the survivors is the
-    first largest of the batch.  A nonzero product whose squares may have
-    left the normal range always survives and sets no lo.  A non-finite
-    entry anywhere in the batch raises NonFiniteMatrixError.
+    first largest of the batch.  Only the batch's largest Frobenius norm,
+    top, must be exact: a product whose squares underflow has entries
+    below about 1.5e-154, far below top / sqrt(d) once top >= SCREEN_TINY.
+    When top is below SCREEN_TINY or inf, every nonzero product survives.
+    A non-finite entry anywhere in the batch raises NonFiniteMatrixError.
     """
     f = np.sqrt(np.einsum("kij,kij->k", prods, prods))
     top = f.max()
-    if not (f.min() >= SCREEN_TINY and top < np.inf):
+    if not SCREEN_TINY <= top < np.inf:
         if not np.isfinite(prods).all():
             raise NonFiniteMatrixError("matrix entries must be finite")
-        wild = ((f < SCREEN_TINY) | (f == np.inf)) & prods.any(axis=(1, 2))
-        top = f[~wild].max(initial=0.0)
-        f[wild] = np.inf
+        return prods.any(axis=(1, 2))
     hi = f * (1.0 + SCREEN_MARGIN)
     return (hi > peak) & (hi >= top * ((1.0 - SCREEN_MARGIN) / math.sqrt(prods.shape[1])))
 
@@ -312,40 +313,31 @@ def envelope_constant(
     family: MatrixFamily,
     comb: StableCombination,
     rate: float,
-    horizon: int | None = None,
     cap: int = DEFAULT_ENUM_CAP,
 ) -> float:
-    """Smallest c >= 1 with ||product|| <= c * exp(-rate * t) up to `horizon`.
+    """Smallest c >= 1 with ||product|| <= c * exp(-rate * t) up to the
+    basis length the induction argument requires.
 
     Computed exhaustively over every admissible product; the floor of 1
-    covers the empty product at t=0.  The default horizon is the basis
-    length the induction argument requires.
+    covers the empty product at t=0.
     """
-    if rate <= 0.0:
+    if not rate > 0.0:
         raise ValueError("rate must be positive")
-    if horizon is None:
-        horizon = basis_length(family, comb)
-    return envelope_profile(family, comb, horizon, cap).bound_check(rate).max_ratio
+    return envelope_profile(family, comb, basis_length(family, comb), cap).bound_check(rate).max_ratio
 
 
-def envelope_constant_bound(
-    family: MatrixFamily,
-    comb: StableCombination,
-    rate: float,
-    horizon: int | None = None,
-) -> float:
+def envelope_constant_bound(family: MatrixFamily, comb: StableCombination, rate: float) -> float:
     """Closed-form upper bound on the envelope constant.
 
     Every factor of an admissible product has norm at most the largest
-    subsystem norm M, so c <= (M * exp(rate))^horizon.  Loose but valid;
-    used when exhaustive enumeration would exceed its cap.  May return inf
-    for horizons far beyond double range.
+    subsystem norm M, so c <= (M * exp(rate))^L over the basis length L.
+    Loose but valid; used when exhaustive enumeration would exceed its
+    cap.  May return inf for bases far beyond double range.
     """
-    if horizon is None:
-        horizon = basis_length(family, comb)
+    if math.isnan(rate):
+        raise ValueError("rate must not be NaN")
     m1 = float(operator_norms(family.stack).max())
-    log_c = horizon * (math.log(m1) + rate)
-    return math.inf if log_c > _LOG_DBL_MAX else max(1.0, math.exp(log_c))
+    return max(1.0, _exp_or_inf(basis_length(family, comb) * (math.log(m1) + rate)))
 
 
 def capped_envelope(
@@ -416,8 +408,8 @@ def sound_certified_rate(
     None means some such window has ||W|| >= 1, so no positive rate
     follows; math.inf means every such window is 0, so every rate holds.
 
-    Induction: with c = envelope_constant(family, comb, r) at its default
-    horizon L, ||P_t|| <= c * exp(-r*t) holds for t <= L by definition of
+    Induction: with c = envelope_constant(family, comb, r), which covers
+    the L steps, ||P_t|| <= c * exp(-r*t) holds for t <= L by definition of
     c.  For t > L let s be the last vertex boundary <= t-L; since a vertex
     lasts at most B steps, the window [s, t) starts at a vertex boundary
     and lasts between L and L+B-1 steps, so its norm is at most

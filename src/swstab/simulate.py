@@ -173,7 +173,7 @@ def verify_ges(norms, c: float, rate: float) -> GesCheck:
     The comparison is non-strict; worst_margin is the smallest envelope
     slack and worst_t where it occurs.
     """
-    if c <= 0.0 or rate <= 0.0:
+    if not c > 0.0 or not rate > 0.0:
         raise ValueError("envelope constant and rate must be positive")
     norms = np.asarray(norms, dtype=float)
     if norms.size < 2:

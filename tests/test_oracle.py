@@ -27,6 +27,7 @@ from swstab import (
     generate_random_instance,
     product_norms,
     sound_certified_rate,
+    verify_ges,
     walk_to_signal,
 )
 from swstab.certificate import RATE_SAFETY, CertificateInputs
@@ -296,8 +297,10 @@ _EQUALITY_FAMILIES = pytest.mark.parametrize(
         (MatrixFamily((np.outer([1.0, 0.5], [1.25, 0.75]), np.outer([0.5, -1.5], [0.75, 1.0]))), 16),
         # from 6 steps on every product's squares underflow, from 12 its entries
         (MatrixFamily((np.diag([1.5, 1e-90]), np.diag([1e-90, 1.5]))), 14),
+        # the batch's largest norm starts below SCREEN_TINY and crosses it mid-scan
+        (MatrixFamily((np.diag([2.0, 1e-150]), np.diag([1e-150, 2.0]))), 12),
     ],
-    ids=["diagonal", "n2-d3", "n3-d4", "n2-d4", "n10-d2", "rank-one", "underflow"],
+    ids=["diagonal", "n2-d3", "n3-d4", "n2-d4", "n10-d2", "rank-one", "underflow", "tiny-start"],
 )
 
 
@@ -366,6 +369,17 @@ def test_screen_drops_products_that_cannot_raise_or_tie():
         batch[0, 0, 0] = bad
         with pytest.raises(NonFiniteMatrixError):
             screen(batch, 5.0)
+
+
+def test_screen_holds_only_the_batch_top_to_the_normal_range():
+    screen = swstab.oracle._screen
+    # diag(1e-160, 0) has squares that underflow, so its Frobenius norm is
+    # 0; its norm 1e-160 cannot tie the batch's largest norm 1, so it is
+    # dropped by the batch's scale.
+    assert screen(np.stack([np.diag([1.0, 0.0]), np.diag([1e-160, 0.0])]), 0.0).tolist() == [True, False]
+    # With no norm in the normal range, every nonzero product goes to the SVD.
+    batch = np.stack([np.diag([1e-160, 0.0]), np.zeros((2, 2)), np.diag([0.0, 3e-170])])
+    assert screen(batch, 0.0).tolist() == [True, False, True]
 
 
 def test_envelope_profile_rejects_a_product_past_double_range(diag_comb):
@@ -439,6 +453,25 @@ def test_envelope_constant_frozen_value(diag_family, diag_comb):
 def test_envelope_constant_requires_positive_rate(diag_family, diag_comb):
     with pytest.raises(ValueError):
         envelope_constant(diag_family, diag_comb, rate=0.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda fam, comb: check_certificate(fam, comb, rate=math.nan),
+        lambda fam, comb: envelope_constant(fam, comb, rate=math.nan),
+        lambda fam, comb: envelope_constant_bound(fam, comb, rate=math.nan),
+        lambda fam, comb: envelope_profile(fam, comb, 4).bound_check(math.nan),
+        lambda fam, comb: envelope_profile(fam, comb, 4).bound_check(0.3, c=math.nan),
+        lambda fam, comb: verify_ges([1.0, 0.5], c=math.nan, rate=0.3),
+        lambda fam, comb: verify_ges([1.0, 0.5], c=2.0, rate=math.nan),
+    ],
+    ids=["certificate", "constant", "constant-bound", "bound-check-rate", "bound-check-c",
+         "ges-c", "ges-rate"],
+)
+def test_nan_rates_and_constants_are_refused(diag_family, diag_comb, call):
+    with pytest.raises(ValueError):
+        call(diag_family, diag_comb)
 
 
 def test_envelope_constant_bound_dominates_exhaustive(diag_family, diag_comb):

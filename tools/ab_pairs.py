@@ -41,15 +41,15 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 
 
-def run(checkout: Path, spec: dict, workload: str, seed: int) -> tuple[dict, dict]:
-    """One benchmark run: its details line and its result line."""
+def run(checkout: Path, spec: dict, workload: str, seed: int, trace: int = 0) -> tuple[dict, dict]:
+    """One benchmark run, traced when `trace` is 1: its details line and its result line."""
     cmd = spec["command"] + [
         "--workload", workload, "--seed", str(seed),
-        "--seconds", str(spec["run_seconds"]), "--trace", "0",
+        "--seconds", str(spec["run_seconds"]), "--trace", str(trace),
     ]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900)
     if proc.returncode != 0:
-        sys.exit(f"ab_pairs: {' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
+        sys.exit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}:\n{proc.stderr}")
     details, result = proc.stdout.strip().splitlines()[-2:]
     return json.loads(details), json.loads(result)
 

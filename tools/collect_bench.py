@@ -11,15 +11,22 @@ JSON lines of each run (details, then result) go into
 ``BENCH_<short sha of CHECKOUT's HEAD>.json`` at the root of the
 repository this script is in, so the figures of several commits can be
 collected side by side.  The file also records ``src_lines``, the line
-count of CHECKOUT's ``src/swstab/*.py`` (the total of ``wc -l``).
+count of CHECKOUT's ``src/swstab/*.py`` (the total of ``wc -l``), and
+the wall time ``tier1_s`` and pytest's summary line ``tier1_summary`` of
+one Tier-1 run in CHECKOUT,
+``PYTHONPATH=src python -m pytest -q --continue-on-collection-errors``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+from ab_pairs import run
 
 HERE = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1, 2)
@@ -30,6 +37,16 @@ def git(checkout: Path, *args: str) -> str:
     return subprocess.run(
         ["git", "-C", str(checkout), *args], capture_output=True, text=True, check=True
     ).stdout.strip()
+
+
+def tier1(checkout: Path) -> tuple[float, str]:
+    """Wall time in seconds and pytest's summary line of one Tier-1 run."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+    start = time.perf_counter()
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True, timeout=1800)
+    return time.perf_counter() - start, proc.stdout.strip().splitlines()[-1]
 
 
 def main(argv=None) -> int:
@@ -43,19 +60,17 @@ def main(argv=None) -> int:
     for workload in (w["name"] for w in spec["workloads"]):
         for seed in SEEDS:
             for trace in TRACES:
-                cmd = spec["command"] + [
-                    "--workload", workload, "--seed", str(seed),
-                    "--seconds", str(spec["run_seconds"]), "--trace", str(trace),
-                ]
-                proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, timeout=900)
-                if proc.returncode != 0:
-                    sys.exit(f"collect_bench: {' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
-                details, result = (json.loads(line) for line in proc.stdout.strip().splitlines()[-2:])
+                details, result = run(checkout, spec, workload, seed, trace)
                 runs.append({"details": details, "result": result})
                 print(f"{workload} seed={seed} trace={trace} correct={result['correct']}", flush=True)
     src_lines = sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "swstab").glob("*.py"))
+    tier1_s, tier1_summary = tier1(checkout)
+    print(f"tier-1: {tier1_summary} ({tier1_s:.1f} s wall)", flush=True)
     out = HERE / f"BENCH_{sha}.json"
-    out.write_text(json.dumps({"commit": sha, "src_lines": src_lines, "runs": runs}, indent=1) + "\n")
+    out.write_text(json.dumps({
+        "commit": sha, "src_lines": src_lines, "tier1_s": round(tier1_s, 2), "tier1_summary": tier1_summary,
+        "runs": runs,
+    }, indent=1) + "\n")
     print(out)
     return 0
 
