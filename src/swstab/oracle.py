@@ -6,9 +6,10 @@ identity behind the commutator bookkeeping, the rewriting of an admissible
 product into (left part) * combination^m + correction, and the exponential
 envelope over every admissible product up to a horizon.  The envelope
 comes from one batched scan of the time-expanded switch graph, in slices
-of SLICE products, so its memory stays bounded: one gathered matmul per
-batch of products, a Frobenius-norm screen, and a batched SVD of the few
-products that screen keeps.
+of SLICE products, so its memory stays bounded: one gathered matmul and
+one Frobenius-norm screen per batch of products, and one batched SVD of
+the few products the screens keep each time the scan steps back to a
+shallower duration.
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ class EnvelopeProfile:
     ) -> BoundCheck:
         """Largest ||product|| * exp(rate * t) / c over products of t <= horizon steps.
 
-        The empty product contributes 1 / c.  Among products of equal value
+        The empty product contributes 1 / c, at every rate (e^0 = 1, also
+        where rate * 0 is nan).  Among products of equal value
         the witness is the first one in preorder, which is the order of
         (walk, t): a product comes before its extensions, and the nodes
         that open a vertex come in ascending vertex order.  When a value
@@ -122,10 +124,11 @@ class EnvelopeProfile:
         if not 0 <= horizon <= self.horizon:
             raise ValueError(f"horizon {horizon} outside the profile's 0..{self.horizon}")
         ts = range(horizon + 1)
-        values = [_times_exp(self.peaks[t], rate * t) for t in ts]
+        exps = [rate * t if t else 0.0 for t in ts]
+        values = [_times_exp(self.peaks[t], exps[t]) for t in ts]
         in_range = math.inf not in values
         if not in_range:
-            values = [math.log(p) + rate * t if p > 0.0 else -math.inf for t, p in zip(ts, self.peaks)]
+            values = [math.log(self.peaks[t]) + exps[t] if self.peaks[t] > 0.0 else -math.inf for t in ts]
         t_best = min(ts, key=lambda t: (-values[t], self.walks[t], t))
         return BoundCheck(
             max_ratio=values[t_best] / c if in_range else _exp_or_inf(values[t_best] - math.log(c)),
@@ -184,49 +187,78 @@ def _scan(nodes: list, horizon: int):
 
     A batch is the children, in preorder, of one slice of at most SLICE
     products of the previous duration (the last node, the virtual root,
-    holds the empty product), made by one gathered matmul.  `_screen`
-    keeps the products that may raise the peak and tie the batch's
-    largest norm, and only those get the exact norm, from one batched SVD.
-    A slice's descendants are expanded before the next slice, so the scan
+    holds the empty product), made by one gathered matmul; the children
+    come from a successor table padded to the largest out-degree.  A
+    slice's descendants are expanded before the next slice, so the scan
     holds one batch per duration and meets each duration's products in
     preorder.  Each product carries its parent's position in the batch
     before, from which a peak's walk is rebuilt.
+
+    `_screen` keeps the products of a batch that may raise the peak and
+    tie the batch's largest norm.  Their exact norms wait in `pending`
+    until a batch they descend from is about to be replaced, then `_flush`
+    takes them all in one batched SVD.  Every earlier batch of a duration
+    is flushed before the next one is screened, so each screen sees the
+    peak it would see if every batch were normed at once.
     """
     peaks = [1.0] + [0.0] * horizon
     walks: list[tuple[int, ...]] = [()] * (horizon + 1)
-    # Node n's successors are the edges first[n] .. first[n]+degree[n]-1;
-    # edge e leads to node child[e].
     mats = np.stack([mat for mat, _, _ in nodes])
-    degree = np.array([len(succ) for _, _, succ in nodes])
-    first = np.cumsum(degree) - degree
-    child = np.array([c for _, _, succ in nodes for c in succ])
+    # succ[n, :k] are node n's k successors, and valid[n] marks those slots.
+    width = max(len(s) for _, _, s in nodes)
+    succ = np.array([s + [0] * (width - len(s)) for _, _, s in nodes])
+    valid = np.array([[k < len(s) for k in range(width)] for _, _, s in nodes])
     # batches[t]: (products, nodes, parent positions) of the batch of
     # duration t being expanded.
     batches = [(mats[-1:], np.array([len(nodes) - 1]), None)] + [None] * horizon
+    # pending: (duration, survivors, their positions) in ascending duration,
+    # at most one entry per duration.
+    pending: list[tuple[int, np.ndarray, list[int]]] = []
     todo = [(0, 0)] if horizon > 0 else []
     while todo:
         t, start = todo.pop()
+        # this slice replaces batches[t + 1], from which pending survivors
+        # of t + 1 steps or more descend
+        if pending and pending[-1][0] > t:
+            _flush(pending, nodes, batches, peaks, walks)
         stack, node, _ = batches[t]
         stop = min(start + SLICE, len(node))
         if stop < len(node):
             todo.append((t, stop))
-        out = degree[node[start:stop]]
-        parent = np.repeat(np.arange(start, stop), out)
-        # a child's edge: its parent's first edge plus its rank among siblings
-        edge = first[node[parent]] + np.arange(len(parent)) - np.repeat(np.cumsum(out) - out, out)
-        kids = child[edge]
-        prods = mats[kids] @ stack[parent]
+        rows = node[start:stop]
+        # row-major, so the children come in preorder
+        parent, slot = valid.take(rows, axis=0).nonzero()
+        kids = succ.take(rows.take(parent) * width + slot)
+        parent += start
+        prods = mats.take(kids, axis=0) @ stack.take(parent, axis=0)
         batches[t + 1] = (prods, kids, parent)
-        keep = _screen(prods, peaks[t + 1])
-        if keep.any():
-            norms = operator_norms(prods[keep])
-            best = int(np.argmax(norms))
-            if norms[best] > peaks[t + 1]:
-                peaks[t + 1] = float(norms[best])
-                walks[t + 1] = _walk(nodes, batches, t + 1, int(np.flatnonzero(keep)[best]))
+        (keep,) = _screen(prods, peaks[t + 1]).nonzero()
+        if len(keep):
+            pending.append((t + 1, prods.take(keep, axis=0), keep.tolist()))
         if t + 1 < horizon:
             todo.append((t + 1, 0))
+    if pending:
+        _flush(pending, nodes, batches, peaks, walks)
     return peaks, walks
+
+
+def _flush(pending: list, nodes: list, batches: list, peaks: list, walks: list) -> None:
+    """Norm every pending survivor in one batched SVD and empty `pending`.
+
+    In ascending duration, the first largest norm of each entry raises its
+    duration's peak if it beats it, with its walk rebuilt from `batches`,
+    which still hold every entry's ancestors.
+    """
+    norms = operator_norms(np.concatenate([kept for _, kept, _ in pending]))
+    end = 0
+    for t, kept, pos in pending:
+        seg = norms[end : end + len(kept)]
+        end += len(kept)
+        best = int(seg.argmax())
+        if seg[best] > peaks[t]:
+            peaks[t] = float(seg[best])
+            walks[t] = _walk(nodes, batches, t, pos[best])
+    pending.clear()
 
 
 def _screen(prods: np.ndarray, peak: float) -> np.ndarray:
@@ -237,11 +269,13 @@ def _screen(prods: np.ndarray, peak: float) -> np.ndarray:
     lo <= sigma <= hi, widened by SCREEN_MARGIN for rounding.  A product
     with hi <= peak cannot raise the peak, and one with hi below another's
     lo cannot tie it, so the first largest norm among the survivors is the
-    first largest of the batch.  Only the batch's largest Frobenius norm,
-    top, must be exact: a product whose squares underflow has entries
-    below about 1.5e-154, far below top / sqrt(d) once top >= SCREEN_TINY.
-    When top is below SCREEN_TINY or inf, every nonzero product survives.
-    A non-finite entry anywhere in the batch raises NonFiniteMatrixError.
+    first largest of the batch.  Both tests are one comparison: for a
+    finite peak, hi > peak is hi >= the next double above peak.  Only the
+    batch's largest Frobenius norm, top, must be exact: a product whose
+    squares underflow has entries below about 1.5e-154, far below
+    top / sqrt(d) once top >= SCREEN_TINY.  When top is below SCREEN_TINY
+    or inf, every nonzero product survives.  A non-finite entry anywhere
+    in the batch raises NonFiniteMatrixError.
     """
     f = np.sqrt(np.einsum("kij,kij->k", prods, prods))
     top = f.max()
@@ -249,8 +283,8 @@ def _screen(prods: np.ndarray, peak: float) -> np.ndarray:
         if not np.isfinite(prods).all():
             raise NonFiniteMatrixError("matrix entries must be finite")
         return prods.any(axis=(1, 2))
-    hi = f * (1.0 + SCREEN_MARGIN)
-    return (hi > peak) & (hi >= top * ((1.0 - SCREEN_MARGIN) / math.sqrt(prods.shape[1])))
+    floor = top * ((1.0 - SCREEN_MARGIN) / math.sqrt(prods.shape[1]))
+    return f * (1.0 + SCREEN_MARGIN) >= max(math.nextafter(peak, math.inf), floor)
 
 
 def _walk(nodes: list, batches: list, t: int, pos: int) -> tuple[int, ...]:
@@ -258,9 +292,10 @@ def _walk(nodes: list, batches: list, t: int, pos: int) -> tuple[int, ...]:
     walk = []
     for s in range(t, 0, -1):
         _, node, parent = batches[s]
-        if nodes[node[pos]][1] is not None:
-            walk.append(nodes[node[pos]][1])
-        pos = parent[pos]
+        opens = nodes[node.item(pos)][1]
+        if opens is not None:
+            walk.append(opens)
+        pos = parent.item(pos)
     return tuple(reversed(walk))
 
 
@@ -278,6 +313,8 @@ def envelope_profile(
     duration, and more than `cap` of them in total raise
     EnumerationCapExceeded before any is multiplied.
     """
+    if horizon < 0:
+        raise ValueError("horizon must be nonnegative")
     nodes = _unit_step_nodes(family, comb)
     # A last, virtual root holds the empty product; its successors are the
     # nodes that open a vertex.

@@ -173,6 +173,31 @@ def test_bound_check_past_exp_range():
     assert (check.max_ratio, check.witness_walk, check.witness_time) == (math.inf, (1, 2, 1), 3)
 
 
+def test_bound_check_at_an_infinite_rate(diag_family, diag_comb):
+    # At t = 0 the term is the empty product's 1 whatever the rate: rate * 0
+    # is nan for an infinite rate, and read as e^nan it made the empty
+    # product's ratio inf.
+    profile = envelope_profile(diag_family, diag_comb, horizon=6)
+    check = profile.bound_check(-math.inf, 2.0)
+    assert (check.max_ratio, check.witness_walk, check.witness_time) == (0.5, (), 0)
+    check = profile.bound_check(math.inf)
+    first = min((walk, t) for t, (walk, p) in enumerate(zip(profile.walks, profile.peaks)) if t and p > 0.0)
+    assert (check.max_ratio, check.witness_walk, check.witness_time) == (math.inf, *first)
+    # A duration whose products all vanish stays 0 at an infinite rate.
+    vanishing = EnvelopeProfile(basis=1, block=1, peaks=(1.0, 0.0, 0.5), walks=((), (1,), (2, 1)), counts=(1, 2, 2))
+    check = vanishing.bound_check(math.inf)
+    assert (check.max_ratio, check.witness_walk, check.witness_time) == (math.inf, (2, 1), 2)
+
+
+def test_a_negative_horizon_is_refused(diag_family, diag_comb):
+    # A horizon of -3 gave a profile with one peak and no walks, whose
+    # bound_check ended in an IndexError.
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        envelope_profile(diag_family, diag_comb, -3)
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        exhaustive_bound_check(diag_family, diag_comb, 0.3, 1.0, -3)
+
+
 def test_bound_check_refuses_a_nonpositive_constant(diag_family, diag_comb):
     # c = 0 divided by zero, or hit a math domain error past exp range; c =
     # -1 gave a negative max_ratio, which reads as PASS.
@@ -337,6 +362,54 @@ def test_envelope_profile_holds_one_bounded_batch_at_a_time(diag_family, diag_co
     profile = envelope_profile(diag_family, diag_comb, horizon=16)
     degree = max(len(succ) for _, _, succ in swstab.oracle._unit_step_nodes(diag_family, diag_comb))
     assert max(rows) <= 7 * degree < max(profile.counts)
+
+
+def test_one_svd_per_flush(diag_family, diag_comb, monkeypatch):
+    # Every level to 16 steps fits in one slice, so the scan never steps
+    # back to a shallower duration: its survivors wait for the one flush at
+    # the end.  With slices of 7, each step back flushes, and a flush holds
+    # at most one batch's survivors per duration.
+    normed = _count_rows(monkeypatch, "operator_norms")
+    profile = envelope_profile(diag_family, diag_comb, horizon=16)
+    assert max(profile.counts) <= swstab.oracle.SLICE
+    assert len(normed) == 1
+    monkeypatch.setattr(swstab.oracle, "SLICE", 7)
+    normed.clear()
+    envelope_profile(diag_family, diag_comb, horizon=16)
+    degree = max(len(succ) for _, _, succ in swstab.oracle._unit_step_nodes(diag_family, diag_comb))
+    assert len(normed) > 1
+    assert max(normed) <= 16 * 7 * degree
+
+
+def _two_comparison_screen(prods, peak):
+    """A frozen copy of the screen as two comparisons, hi > peak and hi >=
+    the batch's largest lower bound."""
+    f = np.sqrt(np.einsum("kij,kij->k", prods, prods))
+    top = f.max()
+    if not swstab.oracle.SCREEN_TINY <= top < np.inf:
+        return prods.any(axis=(1, 2))
+    hi = f * (1.0 + swstab.oracle.SCREEN_MARGIN)
+    return (hi > peak) & (hi >= top * ((1.0 - swstab.oracle.SCREEN_MARGIN) / math.sqrt(prods.shape[1])))
+
+
+def test_screen_as_one_comparison_equals_two():
+    # Batches with exact ties (repeated products, and products that differ
+    # only in sign), against peaks of 0, at each product's hi, and one ulp
+    # either side of it.
+    rng = np.random.default_rng(7)
+    margin = swstab.oracle.SCREEN_MARGIN
+    checked = 0
+    for _ in range(200):
+        d = int(rng.integers(2, 5))
+        base = rng.normal(size=(int(rng.integers(1, 12)), d, d)) * 10.0 ** rng.integers(-3, 4)
+        prods = np.concatenate([base, base[rng.integers(0, len(base), 5)], -base[:2]])
+        hi = np.sqrt(np.einsum("kij,kij->k", prods, prods)) * (1.0 + margin)
+        peaks = [0.0] + [float(x) for h in hi for x in (np.nextafter(h, 0.0), h, np.nextafter(h, np.inf))]
+        for peak in peaks:
+            got = swstab.oracle._screen(prods, peak)
+            assert got.tolist() == _two_comparison_screen(prods, peak).tolist()
+            checked += got.sum()
+    assert checked > 0
 
 
 def test_screen_keeps_every_product_that_may_raise_the_peak():
