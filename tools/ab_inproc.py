@@ -17,8 +17,8 @@ Each side builds its own families and combinations from the same
 matrices.  Before timing, every call's peaks, walks and counts must be
 equal on both sides.  In each round both sides run every row, PARENT
 first in even rounds and CHANGE first in odd ones; a row repeats its
-calls until one side's first run takes about 5 ms, the same number of
-times on both sides.  For each row it prints each side's median time per
+calls as often as makes one pass of CHANGE's about 5 ms, the same number
+of times on both sides.  For each row it prints each side's median time per
 pass in ms, the median over rounds of the speed-up PARENT/CHANGE, that
 speed-up's quartiles (q1-q3), and the rounds CHANGE was faster.  The
 process pins itself to one CPU and runs BLAS on one thread, as the
