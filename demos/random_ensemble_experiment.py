@@ -10,12 +10,13 @@ Run:  python demos/random_ensemble_experiment.py
 """
 
 import swstab as sw
+from swstab.cli import PIPELINE_ENUM_CAP
 
 
 def stress_test(family, comb, cert, seed, trials=50, horizon=200):
     """Number of trajectories violating the certified envelope, on the
     schedule and trials `swstab experiment --seed SEED` runs."""
-    c, _, _ = sw.capped_envelope(family, comb, cert.rate, cap=2_000_000)
+    c, _, _ = sw.capped_envelope(family, comb, cert.rate, cap=PIPELINE_ENUM_CAP)
     graph = sw.build_graph(family.size)
     walk = sw.walk_for_horizon(graph, comb, "uniform-random", seed, horizon)
     signal = sw.walk_to_signal(graph, walk, comb)

@@ -9,8 +9,9 @@ bits as the one-matrix kernels on each matrix.
 
 Both operations call numpy.linalg's own LAPACK gufuncs (see `_lapack`)
 on the same float64 input, so every radius and norm has numpy.linalg's
-bits without its per-call wrapper.  This module is the package's one door
-to LAPACK.
+bits without its per-call wrapper.  The package's eigenvalues and
+operator norms all come from here; only `fit_decay`'s line fit reaches
+LAPACK on its own, through `np.polyfit` (`numpy.linalg.lstsq`).
 """
 
 from __future__ import annotations

@@ -159,40 +159,38 @@ def _times_exp(x: float, y: float) -> float:
     return _exp_or_inf(math.log(x) + y if x > 0.0 else -math.inf)
 
 
-def _unit_step_nodes(family: MatrixFamily, comb: StableCombination) -> list:
-    """The switch graph with every vertex split into one node per time step.
+def _unit_step_graph(family: MatrixFamily, comb: StableCombination) -> tuple[np.ndarray, list]:
+    """The switch graph with every vertex split into one node per time step,
+    as (node matrices, successor lists).
 
-    A plain vertex is one node; the hub is a chain of one node per step of
-    `comb.steps`.  A node is (subsystem matrix, the vertex it opens or
-    None, successor nodes).  The nodes that open a vertex come in ascending
-    vertex order, so the preorder of the products grown from them is the
-    order of their walks.
+    Node 0 is the root and holds the identity (the empty product); node v
+    opens vertex v, for v in 1..N+1; nodes N+2 on run the rest of the hub's
+    `comb.steps`, each pointing to the next.  The successors of the root
+    and of each vertex's last node are the vertices in ascending order, so
+    the preorder of the products grown from the root is the order of their
+    walks.
     """
     graph = build_graph(family.size)
-    nodes: list[tuple[np.ndarray, int | None, list[int]]] = []
-    first, last = {}, {}
-    for v in graph.vertices:
-        first[v] = len(nodes)
-        for j, ell in enumerate(comb.steps if v == graph.stable_vertex else (v,)):
-            nodes.append((family.matrix(ell), None if j else v, [len(nodes) + 1]))
-        last[v] = len(nodes) - 1
-    for v in graph.vertices:
-        nodes[last[v]][2][:] = [first[u] for u in graph.out_neighbors(v)]
-    return nodes
+    hub = graph.stable_vertex
+    steps = np.array(comb.steps) - 1  # rows of family.stack
+    mats = np.concatenate([np.eye(family.dim)[None], family.stack, family.stack.take(steps, axis=0)])
+    succ = [list(graph.vertices)] + [list(graph.out_neighbors(v)) for v in range(1, hub)]
+    succ += [[n + 1] for n in range(hub, hub + len(steps) - 1)] + [list(graph.out_neighbors(hub))]
+    return mats, succ
 
 
-def _scan(nodes: list, horizon: int):
+def _scan(graph: tuple[np.ndarray, list], horizon: int):
     """Largest ||product|| at each duration 0..horizon, with the vertex walk
     of the first product, in preorder, reaching it.
 
-    A batch is the children, in preorder, of one slice of at most SLICE
-    products of the previous duration (the last node, the virtual root,
-    holds the empty product), made by one gathered matmul; the children
-    come from a successor table padded to the largest out-degree.  A
-    slice's descendants are expanded before the next slice, so the scan
-    holds one batch per duration and meets each duration's products in
-    preorder.  Each product carries its parent's position in the batch
-    before, from which a peak's walk is rebuilt.
+    `graph` is `_unit_step_graph`'s.  A batch is the children, in
+    preorder, of one slice of at most SLICE products of the previous
+    duration (node 0, the root, holds the empty product), made by one
+    gathered matmul; the children come from a successor table padded to
+    the largest out-degree.  A slice's descendants are expanded before the
+    next slice, so the scan holds one batch per duration and meets each
+    duration's products in preorder.  Each product carries its parent's
+    position in the batch before, from which a peak's walk is rebuilt.
 
     `_screen` keeps the products of a batch that may raise the peak and
     tie the batch's largest norm.  Their exact norms wait in `pending`
@@ -203,14 +201,15 @@ def _scan(nodes: list, horizon: int):
     """
     peaks = [1.0] + [0.0] * horizon
     walks: list[tuple[int, ...]] = [()] * (horizon + 1)
-    mats = np.stack([mat for mat, _, _ in nodes])
+    mats, lists = graph
+    hub = len(lists[0])  # the root's successors are the vertices 1..hub
     # succ[n, :k] are node n's k successors, and valid[n] marks those slots.
-    width = max(len(s) for _, _, s in nodes)
-    succ = np.array([s + [0] * (width - len(s)) for _, _, s in nodes])
-    valid = np.array([[k < len(s) for k in range(width)] for _, _, s in nodes])
+    width = max(map(len, lists))
+    succ = np.array([s + [0] * (width - len(s)) for s in lists])
+    valid = np.array([[k < len(s) for k in range(width)] for s in lists])
     # batches[t]: (products, nodes, parent positions) of the batch of
     # duration t being expanded.
-    batches = [(mats[-1:], np.array([len(nodes) - 1]), None)] + [None] * horizon
+    batches = [(mats[:1], np.array([0]), None)] + [None] * horizon
     # pending: (duration, survivors, their positions) in ascending duration,
     # at most one entry per duration.
     pending: list[tuple[int, np.ndarray, list[int]]] = []
@@ -220,7 +219,7 @@ def _scan(nodes: list, horizon: int):
         # this slice replaces batches[t + 1], from which pending survivors
         # of t + 1 steps or more descend
         if pending and pending[-1][0] > t:
-            _flush(pending, nodes, batches, peaks, walks)
+            _flush(pending, hub, batches, peaks, walks)
         stack, node, _ = batches[t]
         stop = min(start + SLICE, len(node))
         if stop < len(node):
@@ -238,11 +237,11 @@ def _scan(nodes: list, horizon: int):
         if t + 1 < horizon:
             todo.append((t + 1, 0))
     if pending:
-        _flush(pending, nodes, batches, peaks, walks)
+        _flush(pending, hub, batches, peaks, walks)
     return peaks, walks
 
 
-def _flush(pending: list, nodes: list, batches: list, peaks: list, walks: list) -> None:
+def _flush(pending: list, hub: int, batches: list, peaks: list, walks: list) -> None:
     """Norm every pending survivor in one batched SVD and empty `pending`.
 
     In ascending duration, the first largest norm of each entry raises its
@@ -257,7 +256,7 @@ def _flush(pending: list, nodes: list, batches: list, peaks: list, walks: list) 
         best = int(seg.argmax())
         if seg[best] > peaks[t]:
             peaks[t] = float(seg[best])
-            walks[t] = _walk(nodes, batches, t, pos[best])
+            walks[t] = _walk(hub, batches, t, pos[best])
     pending.clear()
 
 
@@ -287,13 +286,14 @@ def _screen(prods: np.ndarray, peak: float) -> np.ndarray:
     return f * (1.0 + SCREEN_MARGIN) >= max(math.nextafter(peak, math.inf), floor)
 
 
-def _walk(nodes: list, batches: list, t: int, pos: int) -> tuple[int, ...]:
-    """The vertex walk of the product at `pos` in the batch of duration t."""
+def _walk(hub: int, batches: list, t: int, pos: int) -> tuple[int, ...]:
+    """The vertex walk of the product at `pos` in the batch of duration t;
+    a node numbered at most `hub` opens the vertex of its number."""
     walk = []
     for s in range(t, 0, -1):
         _, node, parent = batches[s]
-        opens = nodes[node.item(pos)][1]
-        if opens is not None:
+        opens = node.item(pos)
+        if opens <= hub:
             walk.append(opens)
         pos = parent.item(pos)
     return tuple(reversed(walk))
@@ -315,23 +315,19 @@ def envelope_profile(
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
-    nodes = _unit_step_nodes(family, comb)
-    # A last, virtual root holds the empty product; its successors are the
-    # nodes that open a vertex.
-    roots = [n for n, (_, opens, _) in enumerate(nodes) if opens is not None]
-    nodes.append((np.eye(family.dim), None, roots))
+    mats, succ = _unit_step_graph(family, comb)
     # reach[n]: products of exactly t more steps that grow from a product
     # at node n; the root's counts the products of t steps.
-    reach, counts = [1] * len(nodes), [1]
+    reach, counts = [1] * len(succ), [1]
     for _ in range(horizon):
-        reach = [sum(reach[c] for c in succ) for _, _, succ in nodes]
-        counts.append(reach[-1])
+        reach = [sum(reach[c] for c in s) for s in succ]
+        counts.append(reach[0])
         if sum(counts) - 1 > cap:
             raise EnumerationCapExceeded(f"more than {cap} products up to horizon {horizon}")
     # _screen refuses a product past double range; no overflow warning from
     # the matmul, or from squares past double range, precedes that error
     with np.errstate(over="ignore"):
-        peaks, walks = _scan(nodes, horizon)
+        peaks, walks = _scan((mats, succ), horizon)
     return EnvelopeProfile(
         basis=basis_length(family, comb),
         block=comb.block_duration,

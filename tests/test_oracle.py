@@ -279,7 +279,8 @@ def _depth_first_profile(family, comb, horizon):
     copy of the depth-first scan the batched one replaced: one product and
     one SVD at a time, in preorder, keeping the first product that beats
     the peak."""
-    nodes = swstab.oracle._unit_step_nodes(family, comb)
+    mats, succ = swstab.oracle._unit_step_graph(family, comb)
+    hub = family.size + 1
     peaks = [1.0] + [0.0] * horizon
     first_hits = [0] * (horizon + 1)
     walks = [()] * (horizon + 1)
@@ -290,21 +291,19 @@ def _depth_first_profile(family, comb, horizon):
         nonlocal index
         index += 1
         counts[t] += 1
-        mat, opens, succ = nodes[node]
-        p = mat @ parent
-        if opens is not None:
-            walk += (opens,)
+        p = mats[node] @ parent
+        if node <= hub:
+            walk += (node,)
         norm = operator_norm(p)
         if norm > peaks[t]:
             peaks[t], first_hits[t], walks[t] = norm, index, walk
         if t < horizon:
-            for child in succ:
+            for child in succ[node]:
                 visit(child, p, t + 1, walk)
 
     if horizon > 0:
-        for node, (_, opens, _) in enumerate(nodes):
-            if opens is not None:
-                visit(node, np.eye(family.dim), 1, ())
+        for node in succ[0]:
+            visit(node, np.eye(family.dim), 1, ())
     return tuple(peaks), tuple(first_hits), tuple(walks), tuple(counts)
 
 
@@ -360,7 +359,8 @@ def test_envelope_profile_holds_one_bounded_batch_at_a_time(diag_family, diag_co
     monkeypatch.setattr(swstab.oracle, "SLICE", 7)
     rows = _count_rows(monkeypatch, "_screen")
     profile = envelope_profile(diag_family, diag_comb, horizon=16)
-    degree = max(len(succ) for _, _, succ in swstab.oracle._unit_step_nodes(diag_family, diag_comb))
+    _, succ = swstab.oracle._unit_step_graph(diag_family, diag_comb)
+    degree = max(map(len, succ[1:]))  # below the root, which makes only the first batch
     assert max(rows) <= 7 * degree < max(profile.counts)
 
 
@@ -376,7 +376,8 @@ def test_one_svd_per_flush(diag_family, diag_comb, monkeypatch):
     monkeypatch.setattr(swstab.oracle, "SLICE", 7)
     normed.clear()
     envelope_profile(diag_family, diag_comb, horizon=16)
-    degree = max(len(succ) for _, _, succ in swstab.oracle._unit_step_nodes(diag_family, diag_comb))
+    _, succ = swstab.oracle._unit_step_graph(diag_family, diag_comb)
+    degree = max(map(len, succ[1:]))  # below the root, which makes only the first batch
     assert len(normed) > 1
     assert max(normed) <= 16 * 7 * degree
 

@@ -11,7 +11,10 @@ It times a fixed list of ``envelope_profile`` calls, one row at a time:
 - ``oracle``: the scans of one cycle of the benchmark's ``oracle``
   workload at seed 0 (per instance, the basis length, basis + 6 and the
   deep horizons that fill ``DEEP_PRODUCTS``);
-- ``diag h=2`` .. ``diag h=10``: the diagonal pair at each horizon.
+- ``diag h=2`` .. ``diag h=10``: the diagonal pair at each horizon;
+- ``n10 h=3`` and ``n10 h=7``: the first N = 10 instance with a
+  combination in the seed-0 population (d = 2), whose graph has the most
+  nodes, at two shallow horizons.
 
 Each side builds its own families and combinations from the same
 matrices.  Before timing, every call's peaks, walks and counts must be
@@ -46,6 +49,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 DIAG_HORIZONS = range(2, 11)
+N10_HORIZONS = (3, 7)
 TARGET_S = 0.005  # a row repeats its calls until one pass takes about this long
 
 
@@ -62,7 +66,6 @@ def load_sides(parent: Path, change: Path, tmp: Path) -> dict:
 
 def oracle_calls() -> list[tuple[tuple, int]]:
     """(subsystem matrices, horizon) of every scan in one oracle cycle at seed 0."""
-    sys.path[:0] = [str(HERE / "perfbench"), str(HERE / "src")]
     import counts
     import workloads
     from tracer import NullTracer
@@ -77,6 +80,19 @@ def oracle_calls() -> list[tuple[tuple, int]]:
         deep = counts.horizons_for_budget(family.size, comb.block_duration, extra + 1, workloads.DEEP_PRODUCTS)
         calls += [(family.subsystems, h) for h in [basis, extra, *deep]]
     return calls
+
+
+def population_n10() -> tuple:
+    """The subsystem matrices of the seed-0 population's first N = 10
+    instance with a combination."""
+    import workloads
+
+    sw = workloads.sw
+    for inst_seed, n in workloads.population(0):
+        if n == 10:
+            family = sw.generate_random_instance(n, 2, inst_seed)
+            if sw.find_stable_combination(family) is not None:
+                return family.subsystems
 
 
 def bind(sw, calls) -> list:
@@ -110,9 +126,12 @@ def main(argv=None) -> int:
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     with tempfile.TemporaryDirectory() as tmp:
         packages = load_sides(args.parent.resolve(), args.change.resolve(), Path(tmp))
+        sys.path[:0] = [str(HERE / "perfbench"), str(HERE / "src")]
         oracle = oracle_calls()
         diag = oracle[0][0]  # the cycle's first instance is the diagonal pair
+        n10 = population_n10()
         rows = {"oracle": oracle} | {f"diag h={h}": [(diag, h)] for h in DIAG_HORIZONS}
+        rows |= {f"n10 h={h}": [(n10, h)] for h in N10_HORIZONS}
         bound = {side: {name: bind(sw, calls) for name, calls in rows.items()} for side, sw in packages.items()}
         for name in rows:
             got = {
