@@ -10,6 +10,19 @@ of SLICE products, so its memory stays bounded: one gathered matmul and
 one Frobenius-norm screen per batch of products, and one batched SVD of
 the few products the screens keep each time the scan steps back to a
 shallower duration.
+
+When some duration holds more than SLICE products, the scan also prunes,
+as the bounding half of Gripenberg's branch and bound (LAA 234, 1996):
+a product gets no children when no descendant can reach the peak of its
+duration.  The test weighs an upper bound on the product's norm, its
+Frobenius norm, against a bound on every s-step continuation (an exact
+scan of all nodes to a shallow depth, extended by submultiplicativity
+and widened for float rounding) and a norm some product of each longer
+duration attains (the running peak, or the periodic walks (v, hub) and
+(hub, v)).  Every bound holds for the products as computed, and the test
+is strict, so the peaks, walks and counts are those of the full scan;
+`_scan` gives the argument.  The counts, and `products_checked`, cover
+every admissible product whether it was multiplied or not.
 """
 
 from __future__ import annotations
@@ -35,6 +48,8 @@ SLICE = 1024
 # range (1e-308) and taken the norm out of that allowance.
 SCREEN_MARGIN = 1e-10
 SCREEN_TINY = 1e-145
+# The exact levels of the pruning bound stop before one of more products.
+GROWTH_LEVEL = 32
 
 
 class EnumerationCapExceeded(RuntimeError):
@@ -179,18 +194,19 @@ def _unit_step_graph(family: MatrixFamily, comb: StableCombination) -> tuple[np.
     return mats, succ
 
 
-def _scan(graph: tuple[np.ndarray, list], horizon: int):
+def _scan(graph: tuple[np.ndarray, list, bool], horizon: int):
     """Largest ||product|| at each duration 0..horizon, with the vertex walk
     of the first product, in preorder, reaching it.
 
-    `graph` is `_unit_step_graph`'s.  A batch is the children, in
-    preorder, of one slice of at most SLICE products of the previous
-    duration (node 0, the root, holds the empty product), made by one
-    gathered matmul; the children come from a successor table padded to
-    the largest out-degree.  A slice's descendants are expanded before the
-    next slice, so the scan holds one batch per duration and meets each
-    duration's products in preorder.  Each product carries its parent's
-    position in the batch before, from which a peak's walk is rebuilt.
+    `graph` is `_unit_step_graph`'s (mats, succ) and whether to prune.  A
+    batch is the children, in preorder, of one slice of at most SLICE
+    products of the previous duration (node 0, the root, holds the empty
+    product), made by one gathered matmul; the children come from a
+    successor table padded to the largest out-degree.  A slice's
+    descendants are expanded before the next slice, so the scan holds one
+    batch per duration and meets each duration's products in preorder.
+    Each product carries its parent's position in the batch before, from
+    which a peak's walk is rebuilt.
 
     `_screen` keeps the products of a batch that may raise the peak and
     tie the batch's largest norm.  Their exact norms wait in `pending`
@@ -198,18 +214,42 @@ def _scan(graph: tuple[np.ndarray, list], horizon: int):
     takes them all in one batched SVD.  Every earlier batch of a duration
     is flushed before the next one is screened, so each screen sees the
     peak it would see if every batch were normed at once.
+
+    Pruning, when `graph` asks for it (`_Bound`).  A product P of t steps
+    gets no children when, for every s = 1..horizon-t,
+    hi(P) * grow[s] + floor[s] < low[t+s]:
+    - hi(P) = max(||P||_F, d * SCREEN_TINY) * (1 + SCREEN_MARGIN) bounds
+      the exact ||P||_F: a computed ||P||_F below SCREEN_TINY, whose
+      squares may have underflowed, means every entry is below SCREEN_TINY;
+    - `_growth` makes grow[s] * ||P||_F + floor[s] bound the computed
+      Frobenius norm, and so the computed sigma, of every descendant of P
+      s steps on;
+    - low[t] is the larger of the running peak and `_seeds`' value, each
+      the computed norm of some product of t steps, so never above the
+      final peak.
+    A pruned product's descendants thus have computed norms below the
+    final peaks of their durations (SCREEN_MARGIN covers the rounding of
+    the Frobenius norms, the SVD and the test itself) and can neither
+    reach nor tie them: the peaks and walks are the unpruned scan's, and
+    none of those descendants could have left double range.  For the same
+    reason the screen compares a batch against low, not the running peak.
+    low, and the test with it, is renewed when a flush raises a peak above
+    it.  A batch keeps the positions of the products that get children,
+    and its slices run over those.
     """
     peaks = [1.0] + [0.0] * horizon
     walks: list[tuple[int, ...]] = [()] * (horizon + 1)
-    mats, lists = graph
+    mats, lists, prune = graph
     hub = len(lists[0])  # the root's successors are the vertices 1..hub
     # succ[n, :k] are node n's k successors, and valid[n] marks those slots.
     width = max(map(len, lists))
     succ = np.array([s + [0] * (width - len(s)) for s in lists])
     valid = np.array([[k < len(s) for k in range(width)] for s in lists])
-    # batches[t]: (products, nodes, parent positions) of the batch of
-    # duration t being expanded.
-    batches = [(mats[:1], np.array([0]), None)] + [None] * horizon
+    if prune:
+        bound = _Bound(mats, succ, valid, hub, horizon)
+    # batches[t]: (products, nodes, parent positions, positions to expand
+    # or None for all) of the batch of duration t being expanded.
+    batches = [(mats[:1], np.array([0]), None, None)] + [None] * horizon
     # pending: (duration, survivors, their positions) in ascending duration,
     # at most one entry per duration.
     pending: list[tuple[int, np.ndarray, list[int]]] = []
@@ -220,25 +260,157 @@ def _scan(graph: tuple[np.ndarray, list], horizon: int):
         # of t + 1 steps or more descend
         if pending and pending[-1][0] > t:
             _flush(pending, hub, batches, peaks, walks)
-        stack, node, _ = batches[t]
-        stop = min(start + SLICE, len(node))
-        if stop < len(node):
-            todo.append((t, stop))
-        rows = node[start:stop]
+            if prune:
+                bound.raise_low(peaks)
+        stack, node, _, live = batches[t]
+        if live is None:
+            rows = node[start : start + SLICE]
+            more = start + SLICE < len(node)
+        else:
+            rows = node.take(live[start : start + SLICE])
+            more = start + SLICE < len(live)
+        if more:
+            todo.append((t, start + SLICE))
         # row-major, so the children come in preorder
         parent, slot = valid.take(rows, axis=0).nonzero()
         kids = succ.take(rows.take(parent) * width + slot)
-        parent += start
+        parent = parent + start if live is None else live.take(parent + start)
         prods = mats.take(kids, axis=0) @ stack.take(parent, axis=0)
-        batches[t + 1] = (prods, kids, parent)
-        (keep,) = _screen(prods, peaks[t + 1]).nonzero()
+        live = None
+        if prune:
+            f = np.sqrt(np.einsum("kij,kij->k", prods, prods))
+            (keep,) = _screen(prods, bound.low[t + 1], f).nonzero()
+            if t + 1 < horizon:
+                (live,) = (f >= bound.cut[t + 1]).nonzero()
+                live = None if len(live) == len(f) else live
+        else:
+            (keep,) = _screen(prods, peaks[t + 1]).nonzero()
+        batches[t + 1] = (prods, kids, parent, live)
         if len(keep):
             pending.append((t + 1, prods.take(keep, axis=0), keep.tolist()))
-        if t + 1 < horizon:
+        if t + 1 < horizon and (live is None or len(live)):
             todo.append((t + 1, 0))
     if pending:
         _flush(pending, hub, batches, peaks, walks)
     return peaks, walks
+
+
+class _Bound:
+    """The pruning test of one scan (see `_scan`): a product of t steps
+    whose computed Frobenius norm is below cut[t] gets no children."""
+
+    def __init__(self, mats: np.ndarray, succ: np.ndarray, valid: np.ndarray, hub: int, horizon: int):
+        self.grow, self.floor = _growth(mats, succ, valid, horizon)
+        self.low = _seeds(mats, hub, horizon)
+        self.tiny = mats.shape[1] * SCREEN_TINY
+        # ahead[t, s-1] = t+s, or horizon+1, past the end, where low is inf
+        self.ahead = np.minimum(np.add.outer(np.arange(horizon + 1), np.arange(1, horizon + 1)), horizon + 1)
+        self._cut()
+
+    def raise_low(self, peaks: list) -> None:
+        if (peaks > self.low).any():
+            self.low = np.maximum(peaks, self.low)
+            self._cut()
+
+    def _cut(self) -> None:
+        # thr[t] = min over s of (low[t+s] - floor[s]) / grow[s], which hi(P)
+        # must reach; below d * SCREEN_TINY no hi is smaller, so nothing is cut
+        ahead = np.append(self.low, np.inf).take(self.ahead)
+        thr = ((ahead - self.floor[1:]) / self.grow[1:]).min(axis=1) / (1.0 + SCREEN_MARGIN)
+        self.cut = np.where(thr > self.tiny, thr, -np.inf)
+
+
+def _growth(mats: np.ndarray, succ: np.ndarray, valid: np.ndarray, horizon: int):
+    """(grow, floor) over s = 0..horizon: every s-step product Q from any
+    node below the root, applied to any P as the scan applies it (one
+    matmul per step), has a computed Frobenius norm of at most
+    grow[s] * ||P||_F + floor[s].
+
+    sig[s] bounds sup ||Q||_2 and ab[s] sup ||abs(Q)||_2, abs(Q) being the
+    product of the factors' entrywise absolute values.  Up to a depth K
+    both come from a scan of every such path, signed and absolute
+    products side by side in one stack: each level's largest Frobenius
+    norm, widened by SCREEN_MARGIN and the rounding terms below.  The scan
+    stops before a level of more than GROWTH_LEVEL products, or at one
+    past double range.  Past K, x[q*a + r] <= x[a]**q * x[r], since a
+    path of q*a + r steps is q paths of a steps and one of r.
+
+    Rounding (Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 3): an s-step product computed from P differs from the exact one
+    by at most gamma(s*d) * abs(Q) abs(P) entrywise, gamma(n) =
+    n*u/(1-n*u) <= 2*n*u, plus, where entries fall below the normal
+    range, an absolute d * 2**-1075 per entry and step, carried by the
+    factors that follow.  So grow[s] = sig[s] + gamma(s*d) * ab[s] and
+    floor[s] = d**2 * 2**-1073 * sum(ab[:s]).  A computed Frobenius norm
+    below SCREEN_TINY counts as d * SCREEN_TINY, and so does any bound
+    below that, so no product of bounds underflows; the rounding of those
+    few products stays far inside SCREEN_MARGIN.  A bound past double
+    range gets grow[s] = 1 and floor[s] = inf, against which nothing is
+    pruned.
+    """
+    n, d = mats.shape[:2]
+    width = succ.shape[1]
+    # nodes n.. hold the absolute values of nodes 0.., with the same successors
+    table = np.concatenate([mats, np.abs(mats)])
+    succ2 = np.concatenate([succ, succ + n])
+    valid2 = np.concatenate([valid, valid])
+    nodes = np.concatenate([np.arange(1, n), np.arange(n + 1, 2 * n)])
+    prods = table.take(nodes, axis=0)
+    gamma = np.arange(horizon + 1) * (d * 2.0**-52)
+    tiny = d * SCREEN_TINY
+    sig, ab = [1.0], [1.0]
+    while True:
+        s, k = len(sig), len(nodes) // 2
+        sq = np.einsum("kij,kij->k", prods, prods)
+        big = math.sqrt(sq[k:].max()) * (1.0 + SCREEN_MARGIN)
+        if big == math.inf:  # abs(Q) bounds Q entrywise
+            break
+        under = math.ldexp(d * d * sum(ab), -1073)
+        ab.append((max(big, tiny) + under) * (1.0 + 2.0 * gamma[s]))
+        sig.append(max(math.sqrt(sq[:k].max()) * (1.0 + SCREEN_MARGIN), tiny) + gamma[s] * ab[s] + under)
+        if s == horizon:
+            break
+        parent, slot = valid2.take(nodes, axis=0).nonzero()
+        if len(parent) > 2 * GROWTH_LEVEL:
+            break
+        nodes = succ2.take(nodes.take(parent) * width + slot)
+        prods = table.take(nodes, axis=0) @ prods.take(parent, axis=0)
+    # x[q*a + r] <= x[a]**q * x[r] for r < a <= K, at the best a
+    span = np.arange(horizon + 1)
+    parts = np.arange(1, len(sig))[:, None]
+    sig, ab = (
+        np.maximum((np.array(x)[1:, None] ** (span // parts) * np.take(x, span % parts)).min(axis=0, initial=np.inf), tiny)
+        for x in (sig, ab)
+    )
+    floor = np.ldexp(d * d * np.concatenate([[0.0], np.cumsum(ab[:-1])]), -1073)
+    grow = sig + gamma * ab
+    bad = ~(np.isfinite(grow) & np.isfinite(floor))
+    grow[bad], floor[bad] = 1.0, np.inf
+    return grow, floor
+
+
+def _seeds(mats: np.ndarray, hub: int, horizon: int) -> np.ndarray:
+    """A norm some product of t steps attains, as the scan computes it,
+    for t = 0..horizon: at each t, the SVD of the prefix with the largest
+    Frobenius norm among the periodic walks (v, hub) and (hub, v), v < hub,
+    grown by one stacked matmul per step.  Zero past t = 0 if a prefix
+    leaves double range (the scan refuses it)."""
+    n, d = mats.shape[:2]
+    v = np.arange(1, hub)[:, None]
+    block = np.broadcast_to(np.arange(hub, n), (hub - 1, n - hub))  # the hub's nodes
+    periods = np.concatenate([np.hstack([v, block]), np.hstack([block, v])])
+    steps = mats.take(periods.take(np.arange(horizon) % (n - hub + 1), axis=1).T, axis=0)
+    prods = np.empty((horizon + 1, len(periods), d, d))
+    prods[0] = np.eye(d)
+    with np.errstate(invalid="ignore"):
+        for t in range(horizon):
+            np.matmul(steps[t], prods[t], out=prods[t + 1])
+    seeds = np.zeros(horizon + 1)
+    seeds[0] = 1.0
+    if np.isfinite(prods).all():
+        widest = np.einsum("tkij,tkij->tk", prods[1:], prods[1:]).argmax(axis=1)
+        seeds[1:] = operator_norms(prods[1:][np.arange(horizon), widest])
+    return seeds
 
 
 def _flush(pending: list, hub: int, batches: list, peaks: list, walks: list) -> None:
@@ -260,9 +432,10 @@ def _flush(pending: list, hub: int, batches: list, peaks: list, walks: list) -> 
     pending.clear()
 
 
-def _screen(prods: np.ndarray, peak: float) -> np.ndarray:
+def _screen(prods: np.ndarray, peak: float, f: np.ndarray | None = None) -> np.ndarray:
     """Which products of a (k, d, d) batch may raise `peak` and tie the
-    batch's largest norm, as a boolean mask.
+    batch's largest norm, as a boolean mask; `f`, if given, holds their
+    Frobenius norms.
 
     sigma <= ||P||_F <= sqrt(d) * sigma bounds each product's norm by
     lo <= sigma <= hi, widened by SCREEN_MARGIN for rounding.  A product
@@ -276,7 +449,8 @@ def _screen(prods: np.ndarray, peak: float) -> np.ndarray:
     or inf, every nonzero product survives.  A non-finite entry anywhere
     in the batch raises NonFiniteMatrixError.
     """
-    f = np.sqrt(np.einsum("kij,kij->k", prods, prods))
+    if f is None:
+        f = np.sqrt(np.einsum("kij,kij->k", prods, prods))
     top = f.max()
     if not SCREEN_TINY <= top < np.inf:
         if not np.isfinite(prods).all():
@@ -291,7 +465,7 @@ def _walk(hub: int, batches: list, t: int, pos: int) -> tuple[int, ...]:
     a node numbered at most `hub` opens the vertex of its number."""
     walk = []
     for s in range(t, 0, -1):
-        _, node, parent = batches[s]
+        _, node, parent, _ = batches[s]
         opens = node.item(pos)
         if opens <= hub:
             walk.append(opens)
@@ -311,7 +485,10 @@ def envelope_profile(
     through a combination block (which no whole-vertex walk represents)
     are covered as well.  The products are counted first, duration by
     duration, and more than `cap` of them in total raise
-    EnumerationCapExceeded before any is multiplied.
+    EnumerationCapExceeded before any is multiplied.  When some duration
+    holds more than SLICE products, the scan prunes the subtrees that
+    cannot reach a peak (see `_scan`); the counts still cover every
+    product.
     """
     if horizon < 0:
         raise ValueError("horizon must be nonnegative")
@@ -327,7 +504,7 @@ def envelope_profile(
     # _screen refuses a product past double range; no overflow warning from
     # the matmul, or from squares past double range, precedes that error
     with np.errstate(over="ignore"):
-        peaks, walks = _scan((mats, succ), horizon)
+        peaks, walks = _scan((mats, succ, max(counts) > SLICE), horizon)
     return EnvelopeProfile(
         basis=basis_length(family, comb),
         block=comb.block_duration,

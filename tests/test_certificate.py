@@ -1,18 +1,24 @@
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from swstab import (
     CertificateInputs,
+    build_graph,
     check_certificate,
     compute_constants,
+    find_stable_combination,
+    generate_random_instance,
     max_certified_rate,
     rate_upper_limit,
+    walk_to_signal,
 )
 from swstab.certificate import RATE_SAFETY, _lhs_terms
+from swstab.linalg import spectral_radius
 
 # Closed-form references for the diagonal pair: rho = 0.48, block = 2,
 # m = 1, eps = 0, so LHS(r) = 0.48 * exp(2r) and the supremum rate is
@@ -106,6 +112,24 @@ def test_shear_certificate_infeasible(shear_family, shear_comb):
     cert = check_certificate(shear_family, shear_comb)
     assert not cert.feasible
     assert cert.rate == 0.0
+
+
+def test_certificate_feasible_on_an_instance_that_diverges():
+    # Population instance 3592 (N = 2, d = 2): the paper's inequality holds,
+    # yet the admissible closed walk (2, hub), repeated forever, runs the
+    # steps (2, 2, 1), whose product has spectral radius 1.0410 > 1.  So the
+    # certificate can certify a family that one schedule drives to infinity,
+    # not only over-claim its rate.
+    family = generate_random_instance(2, 2, 3592)
+    comb = find_stable_combination(family)
+    cert = check_certificate(family, comb)
+    assert cert.feasible and cert.rate > 0.0
+    signal = walk_to_signal(build_graph(2), [2, 3], comb)
+    assert signal.steps == (2, 2, 1)
+    cycle = np.eye(2)
+    for ell in signal.steps:
+        cycle = family.matrix(ell) @ cycle
+    assert spectral_radius(cycle) == pytest.approx(1.0410, abs=1e-4)
 
 
 def test_certificate_carries_its_constants_and_max_rate(diag_family, diag_comb, shear_family, shear_comb):

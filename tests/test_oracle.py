@@ -2,15 +2,19 @@ import dataclasses
 import math
 import warnings
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import swstab.oracle
 from swstab import (
     EnumerationCapExceeded,
     EnvelopeProfile,
     MatrixFamily,
+    StableCombination,
     basis_length,
     build_graph,
     capped_envelope,
@@ -351,6 +355,80 @@ def test_batched_scan_equals_the_depth_first_scan(family, horizon, slice_size, m
         profile = envelope_profile(family, comb, h)
         peaks, _, walks, counts = _depth_first_profile(family, comb, h)
         assert (profile.peaks, profile.walks, profile.counts) == (peaks, walks, counts)
+
+
+_KINDS = ("generic", "non-normal", "rank-one", "badly-scaled")
+
+
+@st.composite
+def _drawn_scans(draw):
+    """(family, combination, horizon, slice size) with 2 x 2 or 3 x 3
+    matrices of one kind.  The scan reads only the combination's steps, so
+    the combination is drawn, not searched for, and need not be stable."""
+    d, n, kind = draw(st.sampled_from([2, 3])), draw(st.sampled_from([2, 3])), draw(st.sampled_from(_KINDS))
+    entries = st.lists(st.floats(-2.0, 2.0, width=64), min_size=d * d, max_size=d * d)
+    mats = []
+    for _ in range(n):
+        a = np.array(draw(entries)).reshape(d, d)
+        if kind == "non-normal":
+            a = np.triu(a)
+            a[0, -1] = draw(st.sampled_from([-1e4, -30.0, 30.0, 1e4]))
+        elif kind == "rank-one":
+            a = np.outer(a[0], a[1])
+        elif kind == "badly-scaled":
+            # D a D^-1 spreads the entries over many orders of magnitude, and
+            # the scale may take products out of double range either way
+            spread = 10.0 ** np.array(draw(st.lists(st.integers(-8, 8), min_size=d, max_size=d)))
+            a = a * np.outer(spread, 1.0 / spread) * 10.0 ** draw(st.sampled_from([-150, -60, 0, 60, 150]))
+        mats.append(a)
+    head, tail = draw(st.permutations(range(1, n + 1)))[:2]
+    comb = StableCombination(
+        head=head,
+        tail=tail,
+        head_power=draw(st.integers(1, 3)),
+        tail_power=draw(st.integers(1, 3)),
+        product=np.eye(d),
+        contraction_power=1,
+        contraction_norm=0.5,
+    )
+    horizon = draw(st.integers(8, 12 if n == 2 else 8))
+    return MatrixFamily(tuple(mats)), comb, horizon, draw(st.sampled_from([1, 7]))
+
+
+def _outcome(profile):
+    try:
+        return profile()
+    except NonFiniteMatrixError:
+        return "past double range"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_drawn_scans())
+def test_pruned_scan_equals_the_depth_first_scan_on_drawn_families(case):
+    # With slices of 1 or 7 products some level always holds more than a
+    # slice, so the scan prunes; its peaks, walks and counts must still be
+    # the frozen depth-first scan's, and it must refuse a product past
+    # double range exactly when that scan does.
+    family, comb, horizon, slice_size = case
+    with mock.patch.object(swstab.oracle, "SLICE", slice_size), np.errstate(over="ignore", invalid="ignore"):
+        got = _outcome(lambda: dataclasses.astuple(envelope_profile(family, comb, horizon))[2:])
+        want = _outcome(lambda: (lambda p, _, w, c: (p, w, c))(*_depth_first_profile(family, comb, horizon)))
+    assert got == want
+
+
+def test_pruning_starts_only_past_a_slice(diag_family, diag_comb, monkeypatch):
+    # The diagonal pair's largest level to 12 steps holds 108 products: with
+    # the default slice every product is multiplied once; with slices of 7
+    # the scan prunes, and still reports every product it covers.
+    screened = _count_rows(monkeypatch, "_screen")
+    profile = envelope_profile(diag_family, diag_comb, 12)
+    assert max(profile.counts) == 108
+    assert sum(screened) == sum(profile.counts[1:]) == 380
+    monkeypatch.setattr(swstab.oracle, "SLICE", 7)
+    screened.clear()
+    assert envelope_profile(diag_family, diag_comb, 12) == profile
+    assert sum(screened) < sum(profile.counts[1:])
+    assert exhaustive_bound_check(diag_family, diag_comb, 0.1, 1.0, 12).products_checked == 380
 
 
 def test_envelope_profile_holds_one_bounded_batch_at_a_time(diag_family, diag_comb, monkeypatch):

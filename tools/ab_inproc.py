@@ -11,22 +11,26 @@ It times a fixed list of ``envelope_profile`` calls, one row at a time:
 - ``oracle``: the scans of one cycle of the benchmark's ``oracle``
   workload at seed 0 (per instance, the basis length, basis + 6 and the
   deep horizons that fill ``DEEP_PRODUCTS``);
-- ``diag h=2`` .. ``diag h=10``: the diagonal pair at each horizon;
+- ``diag h=2`` .. ``diag h=10``, ``diag h=20`` and ``diag h=30``: the
+  diagonal pair at each horizon;
 - ``n10 h=3`` and ``n10 h=7``: the first N = 10 instance with a
   combination in the seed-0 population (d = 2), whose graph has the most
-  nodes, at two shallow horizons.
+  nodes, at two shallow horizons;
+- ``1088 h=15``: population instance 1088 (N = 3, d = 2) at its deep
+  horizon in the ``oracle`` cycle.
 
 Each side builds its own families and combinations from the same
 matrices.  Before timing, every call's peaks, walks and counts must be
 equal on both sides.  In each round both sides run every row, PARENT
-first in even rounds and CHANGE first in odd ones; a row repeats its
-calls as often as makes one pass of CHANGE's about 5 ms, the same number
-of times on both sides.  For each row it prints each side's median time per
-pass in ms, the median over rounds of the speed-up PARENT/CHANGE, that
-speed-up's quartiles (q1-q3), and the rounds CHANGE was faster.  The
-process pins itself to one CPU and runs BLAS on one thread, as the
-benchmark does.  Host speed drifts move both sides of a round alike,
-which makes the ratio steadier than a comparison of separate runs.
+first in even rounds and CHANGE first in odd ones.  A row repeats its
+calls as often as makes one pass of CHANGE's about 5 ms, sized by the
+median of SIZING_CALLS passes run one after another, the same number of
+times on both sides.  For each row it prints each side's median time per pass in ms,
+the median over rounds of the speed-up PARENT/CHANGE, that speed-up's
+quartiles (q1-q3), and the rounds CHANGE was faster.  The process pins
+itself to one CPU and runs BLAS on one thread, as the benchmark does.
+Host speed drifts move both sides of a round alike, which makes the
+ratio steadier than a comparison of separate runs.
 """
 
 from __future__ import annotations
@@ -48,9 +52,11 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-DIAG_HORIZONS = range(2, 11)
+DIAG_HORIZONS = (*range(2, 11), 20, 30)
 N10_HORIZONS = (3, 7)
+WEAK_SEED, WEAK_HORIZON = 1088, 15
 TARGET_S = 0.005  # a row repeats its calls until one pass takes about this long
+SIZING_CALLS = 7  # timed passes whose median sizes a row's repetitions
 
 
 def load_sides(parent: Path, change: Path, tmp: Path) -> dict:
@@ -107,14 +113,17 @@ def bind(sw, calls) -> list:
     return bound
 
 
-def run(sw, bound, reps: int) -> float:
-    """Seconds for `reps` passes over the bound calls."""
+def run(sw, bound, reps: int) -> list[float]:
+    """Seconds of each of `reps` passes over the bound calls, run one after
+    another after one garbage collection."""
     gc.collect()
-    start = time.perf_counter()
+    times = []
     for _ in range(reps):
+        start = time.perf_counter()
         for family, comb, h in bound:
             sw.envelope_profile(family, comb, h)
-    return time.perf_counter() - start
+        times.append(time.perf_counter() - start)
+    return times
 
 
 def main(argv=None) -> int:
@@ -132,6 +141,8 @@ def main(argv=None) -> int:
         n10 = population_n10()
         rows = {"oracle": oracle} | {f"diag h={h}": [(diag, h)] for h in DIAG_HORIZONS}
         rows |= {f"n10 h={h}": [(n10, h)] for h in N10_HORIZONS}
+        weak = packages["change"].generate_random_instance(3, 2, WEAK_SEED).subsystems
+        rows[f"{WEAK_SEED} h={WEAK_HORIZON}"] = [(weak, WEAK_HORIZON)]
         bound = {side: {name: bind(sw, calls) for name, calls in rows.items()} for side, sw in packages.items()}
         for name in rows:
             got = {
@@ -144,7 +155,7 @@ def main(argv=None) -> int:
             if got["parent"] != got["change"]:
                 sys.exit(f"{name}: the profiles differ")
         reps = {
-            name: max(1, round(TARGET_S / run(packages["change"], bound["change"][name], 1)))
+            name: max(1, round(TARGET_S / statistics.median(run(packages["change"], bound["change"][name], SIZING_CALLS))))
             for name in rows
         }
         times = {name: {side: [] for side in SIDES} for name in rows}
@@ -152,7 +163,7 @@ def main(argv=None) -> int:
             order = SIDES if k % 2 == 0 else SIDES[::-1]
             for name in rows:
                 for side in order:
-                    times[name][side].append(run(packages[side], bound[side][name], reps[name]) / reps[name])
+                    times[name][side].append(sum(run(packages[side], bound[side][name], reps[name])) / reps[name])
     print(f"{len(oracle)} oracle scans; {args.rounds} rounds, sides alternating; ms per pass")
     print(f"{'row':<10} {'reps':>5} {'parent':>9} {'change':>9} {'speed-up':>9} {'q1-q3':>12}  change won")
     for name in rows:
