@@ -308,13 +308,16 @@ class _Bound:
         self._cut()
 
     def raise_low(self, peaks: list) -> None:
+        """Take in the running peaks, and renew cut if one passed low."""
         if (peaks > self.low).any():
             self.low = np.maximum(peaks, self.low)
             self._cut()
 
     def _cut(self) -> None:
-        # thr[t] = min over s of (low[t+s] - floor[s]) / grow[s], which hi(P)
-        # must reach; below d * SCREEN_TINY no hi is smaller, so nothing is cut
+        # A product is pruned when hi(P) < min over s of (low[t+s] - floor[s])
+        # / grow[s]; thr is that minimum over 1 + SCREEN_MARGIN, so the test
+        # reads the computed ||P||_F.  No hi is below d * SCREEN_TINY, so a
+        # smaller thr cuts nothing.
         ahead = np.append(self.low, np.inf).take(self.ahead)
         thr = ((ahead - self.floor[1:]) / self.grow[1:]).min(axis=1) / (1.0 + SCREEN_MARGIN)
         self.cut = np.where(thr > self.tiny, thr, -np.inf)

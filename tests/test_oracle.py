@@ -395,13 +395,6 @@ def _drawn_scans(draw):
     return MatrixFamily(tuple(mats)), comb, horizon, draw(st.sampled_from([1, 7]))
 
 
-def _outcome(profile):
-    try:
-        return profile()
-    except NonFiniteMatrixError:
-        return "past double range"
-
-
 @settings(max_examples=60, deadline=None)
 @given(_drawn_scans())
 def test_pruned_scan_equals_the_depth_first_scan_on_drawn_families(case):
@@ -410,9 +403,18 @@ def test_pruned_scan_equals_the_depth_first_scan_on_drawn_families(case):
     # the frozen depth-first scan's, and it must refuse a product past
     # double range exactly when that scan does.
     family, comb, horizon, slice_size = case
+    got = want = "past double range"
     with mock.patch.object(swstab.oracle, "SLICE", slice_size), np.errstate(over="ignore", invalid="ignore"):
-        got = _outcome(lambda: dataclasses.astuple(envelope_profile(family, comb, horizon))[2:])
-        want = _outcome(lambda: (lambda p, _, w, c: (p, w, c))(*_depth_first_profile(family, comb, horizon)))
+        try:
+            profile = envelope_profile(family, comb, horizon)
+            got = (profile.peaks, profile.walks, profile.counts)
+        except NonFiniteMatrixError:
+            pass
+        try:
+            peaks, _, walks, counts = _depth_first_profile(family, comb, horizon)
+            want = (peaks, walks, counts)
+        except NonFiniteMatrixError:
+            pass
     assert got == want
 
 
