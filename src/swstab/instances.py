@@ -15,7 +15,7 @@ them:
 from __future__ import annotations
 
 import json
-import math
+import sys
 
 import numpy as np
 
@@ -30,11 +30,11 @@ class InstanceParseError(ValueError):
 
 
 def parse_instance(path) -> MatrixFamily:
-    """Load and validate an instance file."""
-    with open(path) as f:
+    """Load and validate an instance file (JSON, so UTF-8)."""
+    with open(path, encoding="utf-8") as f:
         try:
             data = json.load(f)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, or nested too deep
             raise InstanceParseError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(data, dict) or "dim" not in data or "matrices" not in data:
         raise InstanceParseError(f"{path}: expected keys 'dim' and 'matrices'")
@@ -58,9 +58,9 @@ def parse_instance(path) -> MatrixFamily:
                     raise InstanceParseError(
                         f"{path}: matrix {k}, row {r}, entry {c}: not a number"
                     )
-                if not math.isfinite(value):
+                if not abs(value) <= sys.float_info.max:  # exact for ints of any size
                     raise InstanceParseError(
-                        f"{path}: matrix {k}, row {r}, entry {c}: non-finite value"
+                        f"{path}: matrix {k}, row {r}, entry {c}: non-finite or past double range"
                     )
         mats.append(np.array(rows, dtype=float))
     return MatrixFamily(tuple(mats))

@@ -208,12 +208,14 @@ def _scan(graph: tuple[np.ndarray, list, bool], horizon: int):
     Each product carries its parent's position in the batch before, from
     which a peak's walk is rebuilt.
 
-    `_screen` keeps the products of a batch that may raise the peak and
-    tie the batch's largest norm.  Their exact norms wait in `pending`
-    until a batch they descend from is about to be replaced, then `_flush`
-    takes them all in one batched SVD.  Every earlier batch of a duration
-    is flushed before the next one is screened, so each screen sees the
-    peak it would see if every batch were normed at once.
+    `_screen` keeps the products of a batch that may raise low (the
+    running peak when nothing prunes) and tie the batch's largest norm,
+    from the Frobenius norms the scan takes once per batch.  They wait in
+    `pending`, with their batch's nodes and parents, until a batch they
+    descend from is about to be replaced; then `_flush` takes them all in
+    one batched SVD.  Every earlier batch of a duration is flushed before
+    the next one is screened, so each screen sees the peak it would see if
+    every batch were normed at once.
 
     Pruning, when `graph` asks for it (`_Bound`).  A product P of t steps
     gets no children when, for every s = 1..horizon-t,
@@ -234,8 +236,8 @@ def _scan(graph: tuple[np.ndarray, list, bool], horizon: int):
     none of those descendants could have left double range.  For the same
     reason the screen compares a batch against low, not the running peak.
     low, and the test with it, is renewed when a flush raises a peak above
-    it.  A batch keeps the positions of the products that get children,
-    and its slices run over those.
+    it.  Right after the test a batch keeps only the products that get
+    children, and its slices run over those.
     """
     peaks = [1.0] + [0.0] * horizon
     walks: list[tuple[int, ...]] = [()] * (horizon + 1)
@@ -245,51 +247,46 @@ def _scan(graph: tuple[np.ndarray, list, bool], horizon: int):
     width = max(map(len, lists))
     succ = np.array([s + [0] * (width - len(s)) for s in lists])
     valid = np.array([[k < len(s) for k in range(width)] for s in lists])
-    if prune:
-        bound = _Bound(mats, succ, valid, hub, horizon)
-    # batches[t]: (products, nodes, parent positions, positions to expand
-    # or None for all) of the batch of duration t being expanded.
-    batches = [(mats[:1], np.array([0]), None, None)] + [None] * horizon
-    # pending: (duration, survivors, their positions) in ascending duration,
-    # at most one entry per duration.
-    pending: list[tuple[int, np.ndarray, list[int]]] = []
+    bound = _Bound(mats, succ, valid, hub, horizon) if prune else None
+    low = bound.low if prune else peaks  # what a product must beat to raise a peak
+    # batches[t]: (products, nodes, parent positions) of the batch of
+    # duration t being expanded, holding only the products that get children
+    batches = [(mats[:1], np.array([0]), None)] + [None] * horizon
+    # pending: (duration, survivors, their batch's nodes, its parent positions,
+    # their positions in it), ascending in duration, one entry per duration.
+    pending: list[tuple[int, np.ndarray, np.ndarray, np.ndarray, list[int]]] = []
     todo = [(0, 0)] if horizon > 0 else []
     while todo:
         t, start = todo.pop()
         # this slice replaces batches[t + 1], from which pending survivors
-        # of t + 1 steps or more descend
+        # of t + 2 steps or more descend, and screens against the peaks the
+        # earlier batches of t + 1 steps set
         if pending and pending[-1][0] > t:
             _flush(pending, hub, batches, peaks, walks)
             if prune:
                 bound.raise_low(peaks)
-        stack, node, _, live = batches[t]
-        if live is None:
-            rows = node[start : start + SLICE]
-            more = start + SLICE < len(node)
-        else:
-            rows = node.take(live[start : start + SLICE])
-            more = start + SLICE < len(live)
-        if more:
+        stack, node, _ = batches[t]
+        rows = node[start : start + SLICE]
+        if start + SLICE < len(node):
             todo.append((t, start + SLICE))
         # row-major, so the children come in preorder
-        parent, slot = valid.take(rows, axis=0).nonzero()
-        kids = succ.take(rows.take(parent) * width + slot)
-        parent = parent + start if live is None else live.take(parent + start)
+        mask = valid.take(rows, axis=0)
+        parent, _ = mask.nonzero()
+        kids = succ.take(rows, axis=0)[mask]
+        parent += start
         prods = mats.take(kids, axis=0) @ stack.take(parent, axis=0)
-        live = None
-        if prune:
-            f = np.sqrt(np.einsum("kij,kij->k", prods, prods))
-            (keep,) = _screen(prods, bound.low[t + 1], f).nonzero()
-            if t + 1 < horizon:
-                (live,) = (f >= bound.cut[t + 1]).nonzero()
-                live = None if len(live) == len(f) else live
-        else:
-            (keep,) = _screen(prods, peaks[t + 1]).nonzero()
-        batches[t + 1] = (prods, kids, parent, live)
+        f = np.sqrt(np.einsum("kij,kij->k", prods, prods))
+        (keep,) = _screen(prods, low[t + 1], f).nonzero()
         if len(keep):
-            pending.append((t + 1, prods.take(keep, axis=0), keep.tolist()))
-        if t + 1 < horizon and (live is None or len(live)):
-            todo.append((t + 1, 0))
+            pending.append((t + 1, prods.take(keep, axis=0), kids, parent, keep.tolist()))
+        if t + 1 < horizon:
+            if prune:
+                (live,) = (f >= bound.cut[t + 1]).nonzero()
+                if len(live) < len(kids):
+                    prods, kids, parent = prods.take(live, axis=0), kids.take(live), parent.take(live)
+            batches[t + 1] = (prods, kids, parent)
+            if len(kids):
+                todo.append((t + 1, 0))
     if pending:
         _flush(pending, hub, batches, peaks, walks)
     return peaks, walks
@@ -308,9 +305,10 @@ class _Bound:
         self._cut()
 
     def raise_low(self, peaks: list) -> None:
-        """Take in the running peaks, and renew cut if one passed low."""
+        """Raise low to the running peaks in place (the scan holds low), and
+        renew cut if one passed it."""
         if (peaks > self.low).any():
-            self.low = np.maximum(peaks, self.low)
+            np.maximum(peaks, self.low, out=self.low)
             self._cut()
 
     def _cut(self) -> None:
@@ -331,12 +329,13 @@ def _growth(mats: np.ndarray, succ: np.ndarray, valid: np.ndarray, horizon: int)
 
     sig[s] bounds sup ||Q||_2 and ab[s] sup ||abs(Q)||_2, abs(Q) being the
     product of the factors' entrywise absolute values.  Up to a depth K
-    both come from a scan of every such path, signed and absolute
-    products side by side in one stack: each level's largest Frobenius
-    norm, widened by SCREEN_MARGIN and the rounding terms below.  The scan
-    stops before a level of more than GROWTH_LEVEL products, or at one
-    past double range.  Past K, x[q*a + r] <= x[a]**q * x[r], since a
-    path of q*a + r steps is q paths of a steps and one of r.
+    both come from a scan of every such path over the scan's successor
+    table, stepping each path's signed and absolute products as one
+    (2, d, d) pair: each level's largest Frobenius norm, widened by
+    SCREEN_MARGIN and the rounding terms below.  The scan stops before a
+    level of more than GROWTH_LEVEL paths, or at one past double range.
+    Past K, x[q*a + r] <= x[a]**q * x[r], since a path of q*a + r steps is
+    q paths of a steps and one of r.
 
     Rounding (Higham, Accuracy and Stability of Numerical Algorithms,
     ch. 3): an s-step product computed from P differs from the exact one
@@ -351,33 +350,31 @@ def _growth(mats: np.ndarray, succ: np.ndarray, valid: np.ndarray, horizon: int)
     range gets grow[s] = 1 and floor[s] = inf, against which nothing is
     pruned.
     """
-    n, d = mats.shape[:2]
-    width = succ.shape[1]
-    # nodes n.. hold the absolute values of nodes 0.., with the same successors
-    table = np.concatenate([mats, np.abs(mats)])
-    succ2 = np.concatenate([succ, succ + n])
-    valid2 = np.concatenate([valid, valid])
-    nodes = np.concatenate([np.arange(1, n), np.arange(n + 1, 2 * n)])
-    prods = table.take(nodes, axis=0)
+    d = mats.shape[1]
+    # pairs[n]: node n's matrix and its entrywise absolute value
+    pairs = np.stack([mats, np.abs(mats)], axis=1)
+    nodes = np.arange(1, len(mats))
+    prods = pairs[1:]
     gamma = np.arange(horizon + 1) * (d * 2.0**-52)
     tiny = d * SCREEN_TINY
     sig, ab = [1.0], [1.0]
     while True:
-        s, k = len(sig), len(nodes) // 2
-        sq = np.einsum("kij,kij->k", prods, prods)
-        big = math.sqrt(sq[k:].max()) * (1.0 + SCREEN_MARGIN)
-        if big == math.inf:  # abs(Q) bounds Q entrywise
+        s = len(sig)
+        sq = np.einsum("kpij,kpij->kp", prods, prods).max(axis=0).tolist()
+        signed, absolute = (math.sqrt(x) * (1.0 + SCREEN_MARGIN) for x in sq)
+        if absolute == math.inf:  # abs(Q) bounds Q entrywise
             break
         under = math.ldexp(d * d * sum(ab), -1073)
-        ab.append((max(big, tiny) + under) * (1.0 + 2.0 * gamma[s]))
-        sig.append(max(math.sqrt(sq[:k].max()) * (1.0 + SCREEN_MARGIN), tiny) + gamma[s] * ab[s] + under)
+        ab.append((max(absolute, tiny) + under) * (1.0 + 2.0 * gamma[s]))
+        sig.append(max(signed, tiny) + gamma[s] * ab[s] + under)
         if s == horizon:
             break
-        parent, slot = valid2.take(nodes, axis=0).nonzero()
-        if len(parent) > 2 * GROWTH_LEVEL:
+        mask = valid.take(nodes, axis=0)
+        parent, _ = mask.nonzero()
+        if len(parent) > GROWTH_LEVEL:
             break
-        nodes = succ2.take(nodes.take(parent) * width + slot)
-        prods = table.take(nodes, axis=0) @ prods.take(parent, axis=0)
+        nodes = succ.take(nodes, axis=0)[mask]
+        prods = pairs.take(nodes, axis=0) @ prods.take(parent, axis=0)
     # x[q*a + r] <= x[a]**q * x[r] for r < a <= K, at the best a
     span = np.arange(horizon + 1)
     parts = np.arange(1, len(sig))[:, None]
@@ -420,25 +417,25 @@ def _flush(pending: list, hub: int, batches: list, peaks: list, walks: list) -> 
     """Norm every pending survivor in one batched SVD and empty `pending`.
 
     In ascending duration, the first largest norm of each entry raises its
-    duration's peak if it beats it, with its walk rebuilt from `batches`,
-    which still hold every entry's ancestors.
+    duration's peak if it beats it, with its walk rebuilt from the entry's
+    own nodes and parents and from `batches`, which still hold its
+    earlier ancestors.
     """
-    norms = operator_norms(np.concatenate([kept for _, kept, _ in pending]))
+    norms = operator_norms(np.concatenate([entry[1] for entry in pending]))
     end = 0
-    for t, kept, pos in pending:
+    for t, kept, node, parent, pos in pending:
         seg = norms[end : end + len(kept)]
         end += len(kept)
         best = int(seg.argmax())
         if seg[best] > peaks[t]:
             peaks[t] = float(seg[best])
-            walks[t] = _walk(hub, batches, t, pos[best])
+            walks[t] = _walk(hub, batches, t, node, parent, pos[best])
     pending.clear()
 
 
-def _screen(prods: np.ndarray, peak: float, f: np.ndarray | None = None) -> np.ndarray:
-    """Which products of a (k, d, d) batch may raise `peak` and tie the
-    batch's largest norm, as a boolean mask; `f`, if given, holds their
-    Frobenius norms.
+def _screen(prods: np.ndarray, peak: float, f: np.ndarray) -> np.ndarray:
+    """Which products of a (k, d, d) batch, with Frobenius norms `f`, may
+    raise `peak` and tie the batch's largest norm, as a boolean mask.
 
     sigma <= ||P||_F <= sqrt(d) * sigma bounds each product's norm by
     lo <= sigma <= hi, widened by SCREEN_MARGIN for rounding.  A product
@@ -452,8 +449,6 @@ def _screen(prods: np.ndarray, peak: float, f: np.ndarray | None = None) -> np.n
     or inf, every nonzero product survives.  A non-finite entry anywhere
     in the batch raises NonFiniteMatrixError.
     """
-    if f is None:
-        f = np.sqrt(np.einsum("kij,kij->k", prods, prods))
     top = f.max()
     if not SCREEN_TINY <= top < np.inf:
         if not np.isfinite(prods).all():
@@ -463,16 +458,17 @@ def _screen(prods: np.ndarray, peak: float, f: np.ndarray | None = None) -> np.n
     return f * (1.0 + SCREEN_MARGIN) >= max(math.nextafter(peak, math.inf), floor)
 
 
-def _walk(hub: int, batches: list, t: int, pos: int) -> tuple[int, ...]:
-    """The vertex walk of the product at `pos` in the batch of duration t;
-    a node numbered at most `hub` opens the vertex of its number."""
+def _walk(hub: int, batches: list, t: int, node: np.ndarray, parent: np.ndarray, pos: int) -> tuple[int, ...]:
+    """The vertex walk of the product at `pos` among the t-step `node`s,
+    whose parents' positions in batches[t - 1] are `parent`; a node
+    numbered at most `hub` opens the vertex of its number."""
     walk = []
-    for s in range(t, 0, -1):
-        _, node, parent, _ = batches[s]
+    for s in range(t - 1, -1, -1):
         opens = node.item(pos)
         if opens <= hub:
             walk.append(opens)
         pos = parent.item(pos)
+        _, node, parent = batches[s]
     return tuple(reversed(walk))
 
 

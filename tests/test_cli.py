@@ -100,6 +100,15 @@ def test_malformed_instance_is_io_error(tmp_path, capsys):
     assert main(["certify", str(bad)]) == EXIT_IO
 
 
+def test_analyze_ends_an_entry_past_double_range_in_exit_5(tmp_path, capsys):
+    # json reads 1e400 written as an integer as an int, which no double holds
+    path = tmp_path / "huge.json"
+    path.write_text('{"dim": 1, "matrices": [[[1' + "0" * 400 + ']], [[2]]]}')
+    assert _exit_code(["analyze", str(path)]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "past double range" in err and len(err.splitlines()) == 1
+
+
 def test_signal_writes_csv(diag_instance, tmp_path, capsys):
     out = tmp_path / "signal.csv"
     code = main(
@@ -260,6 +269,8 @@ def test_experiment_random_instance_written(tmp_path, capsys):
         ["experiment", "--lambda", "nan"],
         ["experiment", "--pmax", "0"],
         ["experiment", "--seed", "-1"],
+        ["experiment", "--horizon", "ten"],
+        ["signal", "DIAG", "--steps", "2.5"],
         ["simulate", "DIAG", "--partner", "5"],
         ["signal", "DIAG", "--steps", "0"],
         ["signal", "DIAG", "--allow-stable-self-loop"],

@@ -72,6 +72,21 @@ def test_unknown_policy_rejected():
         WalkGenerator(build_graph(2), "zigzag")
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: build_graph(0), "at least one subsystem"),
+        (lambda: WalkGenerator(build_graph(2), "round-robin", partner=0), "partner 0 is not"),
+        (lambda: WalkGenerator(build_graph(2), "round-robin", partner=3), "partner 3 is not"),
+        (lambda: generate_walk(build_graph(2), "round-robin", 0), "steps must be at least 1"),
+    ],
+    ids=["no-subsystem", "partner-0", "partner-past-n", "no-steps"],
+)
+def test_graph_refuses_invalid_arguments(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_generator_is_resumable():
     g = build_graph(2)
     gen = WalkGenerator(g, "uniform-random", seed=7)

@@ -76,6 +76,25 @@ def test_parse_rejects_booleans_and_non_finite(tmp_path):
         parse_instance(path)
 
 
+# The last three once ended in a traceback: an int past double range,
+# bytes that are not UTF-8, and nesting past the parser's recursion limit.
+MALFORMED_FILES = {
+    "wrong-row-count": (b'{"dim": 2, "matrices": [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]]]}', "matrix 1: expected 2 rows"),
+    "int-past-double-range": (b'{"dim": 1, "matrices": [[[1' + b"0" * 400 + b']], [[2]]]}', "past double range"),
+    "not-utf-8": (b'{"dim": 1, "name": "\xff\xfe", "matrices": [[[1.5]], [[2]]]}', "invalid JSON: 'utf-8' codec"),
+    "nested-too-deep": (b"[" * 100_000, "invalid JSON: maximum recursion depth"),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED_FILES)
+def test_parse_refuses_malformed_files(tmp_path, case):
+    payload, match = MALFORMED_FILES[case]
+    path = tmp_path / "bad.json"
+    path.write_bytes(payload)
+    with pytest.raises(InstanceParseError, match=match):
+        parse_instance(path)
+
+
 def test_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         parse_instance(tmp_path / "does-not-exist.json")

@@ -94,6 +94,24 @@ def test_validation_rejects_non_finite():
         operator_norm(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: linalg.as_matrix(np.ones((2, 3))), r"square matrix, got shape \(2, 3\)"),
+        (lambda: linalg.as_matrix(np.ones(4)), r"square matrix, got shape \(4,\)"),
+        (lambda: linalg.as_matrix(np.ones((0, 0))), r"square matrix, got shape \(0, 0\)"),
+        (lambda: linalg.as_vector([]), "at least one entry"),
+        (lambda: linalg.as_vector([1.0, 2.0], dim=3), "dim 3, got 2"),
+        (lambda: commutator(np.eye(2), np.eye(3)), "dimension mismatch"),
+    ],
+    ids=["matrix-not-square", "matrix-1d", "matrix-empty", "vector-empty", "vector-wrong-dim",
+         "commutator-shapes"],
+)
+def test_shape_errors_name_the_shape(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 @settings(max_examples=50, deadline=None)
 @given(small_matrices)
 def test_spectral_radius_bounded_by_norm(a):

@@ -433,6 +433,20 @@ def test_pruning_starts_only_past_a_slice(diag_family, diag_comb, monkeypatch):
     assert exhaustive_bound_check(diag_family, diag_comb, 0.1, 1.0, 12).products_checked == 380
 
 
+@pytest.mark.parametrize("horizon, products, multiplied, normed", [(20, 5_556, 218, 93), (38, 2_236_045, 578, 216)])
+def test_pruning_work_stays_within_its_recorded_figures(
+    diag_family, diag_comb, monkeypatch, horizon, products, multiplied, normed
+):
+    # Upper bounds, at the figures the pruned scan first reached on the
+    # diagonal pair: a weaker prune test or screen multiplies or norms more.
+    screened = _count_rows(monkeypatch, "_screen")
+    exact = _count_rows(monkeypatch, "operator_norms")
+    profile = envelope_profile(diag_family, diag_comb, horizon)
+    assert sum(profile.counts[1:]) == products
+    assert sum(screened) <= multiplied
+    assert sum(exact) <= normed
+
+
 def test_envelope_profile_holds_one_bounded_batch_at_a_time(diag_family, diag_comb, monkeypatch):
     # Memory is bounded by the slice, not by the level: no batch is larger
     # than a slice times the largest out-degree, though the levels are.
@@ -462,6 +476,12 @@ def test_one_svd_per_flush(diag_family, diag_comb, monkeypatch):
     assert max(normed) <= 16 * 7 * degree
 
 
+def _screen(prods, peak):
+    """The scan's screen, given the batch's Frobenius norms as the scan
+    takes them."""
+    return swstab.oracle._screen(prods, peak, np.sqrt(np.einsum("kij,kij->k", prods, prods)))
+
+
 def _two_comparison_screen(prods, peak):
     """A frozen copy of the screen as two comparisons, hi > peak and hi >=
     the batch's largest lower bound."""
@@ -487,7 +507,7 @@ def test_screen_as_one_comparison_equals_two():
         hi = np.sqrt(np.einsum("kij,kij->k", prods, prods)) * (1.0 + margin)
         peaks = [0.0] + [float(x) for h in hi for x in (np.nextafter(h, 0.0), h, np.nextafter(h, np.inf))]
         for peak in peaks:
-            got = swstab.oracle._screen(prods, peak)
+            got = _screen(prods, peak)
             assert got.tolist() == _two_comparison_screen(prods, peak).tolist()
             checked += got.sum()
     assert checked > 0
@@ -503,37 +523,35 @@ def test_screen_keeps_every_product_that_may_raise_the_peak():
     prods += [np.diag([1.3e-162, 0.0]), np.diag([1e-170, 1e-200]), np.diag([1e200, 1e-200])]
     for p in prods:
         norm = operator_norms(p[None])[0]
-        assert swstab.oracle._screen(p[None], np.nextafter(norm, 0.0))[0], p
+        assert _screen(p[None], np.nextafter(norm, 0.0))[0], p
     # The first product's squares overflow, so its Frobenius norm bounds
     # nothing; the second's largest norm must not be held against it.
     batch = np.stack([np.diag([1.2e154, 1.2e154]), np.diag([1.3e154, 0.0])])
-    assert swstab.oracle._screen(batch, 0.0).tolist() == [True, True]
+    assert _screen(batch, 0.0).tolist() == [True, True]
 
 
 def test_screen_drops_products_that_cannot_raise_or_tie():
-    screen = swstab.oracle._screen
     # A zero product can at most tie a peak of 0.
-    assert screen(np.zeros((3, 2, 2)), 0.0).tolist() == [False] * 3
+    assert _screen(np.zeros((3, 2, 2)), 0.0).tolist() == [False] * 3
     # ||I||_F = sqrt(2) is below ||diag(4, 0)|| / sqrt(2): I cannot tie it.
     batch = np.stack([np.eye(2), np.diag([4.0, 0.0]), np.diag([0.0, 4.0])])
-    assert screen(batch, 0.0).tolist() == [False, True, True]
-    assert screen(batch, 5.0).tolist() == [False, False, False]
+    assert _screen(batch, 0.0).tolist() == [False, True, True]
+    assert _screen(batch, 5.0).tolist() == [False, False, False]
     # A non-finite entry anywhere in the batch is refused, never screened.
     for bad in (np.nan, np.inf):
         batch[0, 0, 0] = bad
         with pytest.raises(NonFiniteMatrixError):
-            screen(batch, 5.0)
+            _screen(batch, 5.0)
 
 
 def test_screen_holds_only_the_batch_top_to_the_normal_range():
-    screen = swstab.oracle._screen
     # diag(1e-160, 0) has squares that underflow, so its Frobenius norm is
     # 0; its norm 1e-160 cannot tie the batch's largest norm 1, so it is
     # dropped by the batch's scale.
-    assert screen(np.stack([np.diag([1.0, 0.0]), np.diag([1e-160, 0.0])]), 0.0).tolist() == [True, False]
+    assert _screen(np.stack([np.diag([1.0, 0.0]), np.diag([1e-160, 0.0])]), 0.0).tolist() == [True, False]
     # With no norm in the normal range, every nonzero product goes to the SVD.
     batch = np.stack([np.diag([1e-160, 0.0]), np.zeros((2, 2)), np.diag([0.0, 3e-170])])
-    assert screen(batch, 0.0).tolist() == [True, False, True]
+    assert _screen(batch, 0.0).tolist() == [True, False, True]
 
 
 def test_envelope_profile_rejects_a_product_past_double_range(diag_comb):
@@ -626,6 +644,20 @@ def test_envelope_constant_requires_positive_rate(diag_family, diag_comb):
 def test_nan_rates_and_constants_are_refused(diag_family, diag_comb, call):
     with pytest.raises(ValueError):
         call(diag_family, diag_comb)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda profile: profile.bound_check(0.3, horizon=5), r"horizon 5 outside the profile's 0\.\.4"),
+        (lambda profile: profile.bound_check(0.3, horizon=-1), r"horizon -1 outside the profile's 0\.\.4"),
+        (lambda profile: profile.sound_rate(), "profile horizon 4 < 5"),
+    ],
+    ids=["bound-check-past-horizon", "bound-check-negative", "sound-rate-short"],
+)
+def test_profile_readings_refuse_what_the_profile_does_not_cover(diag_family, diag_comb, call, match):
+    with pytest.raises(ValueError, match=match):
+        call(envelope_profile(diag_family, diag_comb, 4))
 
 
 def test_envelope_constant_bound_dominates_exhaustive(diag_family, diag_comb):

@@ -97,6 +97,15 @@ def test_stable_combination_validation():
         )
 
 
+@pytest.mark.parametrize("power", ["head_power", "tail_power", "contraction_power"])
+def test_stable_combination_refuses_a_power_below_one(power):
+    powers = dict(head_power=1, tail_power=1, contraction_power=1) | {power: 0}
+    with pytest.raises(ValueError, match="powers must be positive integers"):
+        StableCombination(
+            head=1, tail=2, product=np.diag([0.5, 0.5]), contraction_norm=0.5, **powers
+        )
+
+
 def test_candidate_past_double_range_is_skipped():
     # A_1 @ A_2 = diag(1e320, 1e-340) leaves double range and is skipped,
     # without an overflow warning; A_1 @ A_3 = diag(1e-10, 1e-10) is next.

@@ -39,6 +39,12 @@ def test_simulate_rejects_bad_horizon(diag_family, diag_comb):
         simulate(diag_family, sig, [1.0, 1.0], -1)
 
 
+@pytest.mark.parametrize("steps, bad", [((1, 0, 2), 0), ((1, 2, 3), 3)], ids=["index-0", "index-past-n"])
+def test_simulate_refuses_a_subsystem_index_outside_the_family(diag_family, steps, bad):
+    with pytest.raises(ValueError, match=f"subsystem index {bad} outside 1..2"):
+        simulate(diag_family, SwitchingSignal(steps), [1.0, 1.0], len(steps))
+
+
 def test_product_norms_start_at_one_and_bound_states(diag_family, diag_comb):
     sig = _signal(diag_comb, [1, 3, 2, 3, 1, 3])
     norms = product_norms(diag_family, sig, sig.duration)

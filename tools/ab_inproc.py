@@ -11,13 +11,16 @@ It times a fixed list of ``envelope_profile`` calls, one row at a time:
 - ``oracle``: the scans of one cycle of the benchmark's ``oracle``
   workload at seed 0 (per instance, the basis length, basis + 6 and the
   deep horizons that fill ``DEEP_PRODUCTS``);
-- ``diag h=2`` .. ``diag h=10``, ``diag h=20`` and ``diag h=30``: the
-  diagonal pair at each horizon;
+- ``diag h=2`` .. ``diag h=10``, ``diag h=20``, ``diag h=30`` and
+  ``diag h=38``: the diagonal pair at each horizon, the last a deep
+  pruned scan (578 of 2,236,045 products multiplied, one batch per
+  level);
 - ``n10 h=3`` and ``n10 h=7``: the first N = 10 instance with a
   combination in the seed-0 population (d = 2), whose graph has the most
   nodes, at two shallow horizons;
-- ``1088 h=15``: population instance 1088 (N = 3, d = 2) at its deep
-  horizon in the ``oracle`` cycle.
+- ``1088 h=13`` and ``1088 h=15``: population instance 1088 (N = 3,
+  d = 2) at 3,907 products, just past the count at which the scan
+  prunes, and at its deep horizon in the ``oracle`` cycle.
 
 Each side builds its own families and combinations from the same
 matrices.  Before timing, every call's peaks, walks and counts must be
@@ -52,9 +55,9 @@ from pathlib import Path
 
 HERE = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
-DIAG_HORIZONS = (*range(2, 11), 20, 30)
+DIAG_HORIZONS = (*range(2, 11), 20, 30, 38)
 N10_HORIZONS = (3, 7)
-WEAK_SEED, WEAK_HORIZON = 1088, 15
+WEAK_SEED, WEAK_HORIZONS = 1088, (13, 15)
 TARGET_S = 0.005  # a row repeats its calls until one pass takes about this long
 SIZING_CALLS = 7  # timed passes whose median sizes a row's repetitions
 
@@ -142,7 +145,7 @@ def main(argv=None) -> int:
         rows = {"oracle": oracle} | {f"diag h={h}": [(diag, h)] for h in DIAG_HORIZONS}
         rows |= {f"n10 h={h}": [(n10, h)] for h in N10_HORIZONS}
         weak = packages["change"].generate_random_instance(3, 2, WEAK_SEED).subsystems
-        rows[f"{WEAK_SEED} h={WEAK_HORIZON}"] = [(weak, WEAK_HORIZON)]
+        rows |= {f"{WEAK_SEED} h={h}": [(weak, h)] for h in WEAK_HORIZONS}
         bound = {side: {name: bind(sw, calls) for name, calls in rows.items()} for side, sw in packages.items()}
         for name in rows:
             got = {
