@@ -258,5 +258,6 @@ def max_stable_gap(graph: SwitchGraph, walk: Sequence[int]) -> int:
             gap = 0
         else:
             gap += 1
-            best = max(best, gap)
+            if gap > best:  # a comparison costs less than a max() call
+                best = gap
     return best

@@ -85,27 +85,34 @@ def generate_random_instance(n_subsystems: int, dim: int, seed: int) -> MatrixFa
     Each matrix is resampled until its spectral radius reaches 1 (within
     the classification margin), matching the usual random ensemble for
     this problem.  Fully deterministic per seed (numpy PCG64).  The draws
-    are taken a family's worth at a time (at most `batch_rows(dim)`
-    matrices), classified with one radius call and consumed in order, so
-    the family is the one that one draw per matrix gives from the same
-    stream; the draws left over when the family is complete are unused.
+    are taken eight families' worth at a time (at most `batch_rows(dim)`
+    matrices), classified with one radius call, and the accepted ones
+    consumed in order, so the family is the one that one draw per matrix
+    gives from the same stream; the draws left over when the family is
+    complete are unused.  MAX_RESAMPLES rejections in a row, counted
+    across chunks, raise RuntimeError at the draw where one draw per
+    matrix would.
     """
     if n_subsystems < 2 or dim < 1:
         raise ValueError("need at least two subsystems and dim >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
+    size = min(8 * n_subsystems, batch_rows(dim))
     mats = []
-    draws = 0  # draws spent on the matrix being sought
-    while len(mats) < n_subsystems:
-        chunk = rng.uniform(-1.0, 1.0, size=(min(n_subsystems, batch_rows(dim)), dim, dim))
-        for a, radius in zip(chunk, spectral_radii(chunk)):
-            draws += 1
-            if radius >= 1.0 - SCHUR_MARGIN:
-                mats.append(a)
-                draws = 0
-                if len(mats) == n_subsystems:
-                    break
-            elif draws == MAX_RESAMPLES:
-                raise RuntimeError(
-                    f"no unstable matrix found in {MAX_RESAMPLES} draws (dim={dim})"
-                )
-    return MatrixFamily(tuple(mats))
+    rejected = 0  # draws rejected in a row since the last accepted one
+    while True:
+        chunk = rng.uniform(-1.0, 1.0, size=(size, dim, dim))
+        last = -1  # position of the chunk's last accepted draw
+        for i in (spectral_radii(chunk) >= 1.0 - SCHUR_MARGIN).nonzero()[0].tolist():
+            rejected += i - last - 1
+            if rejected >= MAX_RESAMPLES:
+                break
+            mats.append(chunk[i])
+            if len(mats) == n_subsystems:
+                return MatrixFamily(tuple(mats))
+            rejected, last = 0, i
+        else:
+            rejected += size - last - 1
+        if rejected >= MAX_RESAMPLES:
+            raise RuntimeError(
+                f"no unstable matrix found in {MAX_RESAMPLES} draws (dim={dim})"
+            )

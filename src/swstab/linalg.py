@@ -7,14 +7,18 @@ speed everywhere.  The stacked kernels (`spectral_radii`, `operator_norms`)
 make one LAPACK call per matrix inside one numpy call, and give the same
 bits as the one-matrix kernels on each matrix.
 
-Both operations call numpy.linalg's own LAPACK gufuncs (see `_lapack`)
-on the same float64 input, so every radius and norm has numpy.linalg's
-bits without its per-call wrapper.  The package's eigenvalues and
-operator norms all come from here; only `fit_decay`'s line fit reaches
-LAPACK on its own, through `np.polyfit` (`numpy.linalg.lstsq`).
+Every operation calls numpy.linalg's own LAPACK gufuncs (see `_lapack`)
+on the same float64 input, so every radius, norm and fitted line has
+numpy's bits without its per-call wrapper.  This module is the package's
+only door to LAPACK: no other module calls an eigenvalue, SVD or
+least-squares routine, through numpy.linalg or `np.polyfit`
+(`tests/test_imports.py` checks this).
 """
 
 from __future__ import annotations
+
+import sys
+import warnings
 
 import numpy as np
 from numpy.linalg import LinAlgError
@@ -22,6 +26,7 @@ from numpy.linalg import LinAlgError
 # The gufuncs under numpy.linalg, as numpy 2 names them (numpy 1 had no
 # `svd`); bound here so that a numpy without them fails on import.
 from numpy.linalg._umath_linalg import eigvals as _eigvals
+from numpy.linalg._umath_linalg import lstsq as _lstsq
 from numpy.linalg._umath_linalg import svd as _svd
 
 # Spectral radii within this margin below 1 are never certified as Schur
@@ -93,15 +98,15 @@ def _not_converged(err, flag):
 
 
 @np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore", under="ignore")
-def _lapack(gufunc, signature: str, stack: np.ndarray) -> np.ndarray:
-    """numpy.linalg's LAPACK `gufunc` on a finite float64 stack, under
+def _lapack(gufunc, signature: str, *operands):
+    """numpy.linalg's LAPACK `gufunc` on float64 operands, under
     numpy.linalg's error handling: non-convergence (which the gufunc flags
-    as an invalid value) and a stack whose shape does not fit the gufunc
+    as an invalid value) and operands whose shapes do not fit the gufunc
     raise LinAlgError, not a RuntimeWarning or a plain ValueError; over-
     and underflow inside LAPACK are ignored.  The error state is set as a
     decorator, which builds no `errstate` object per call."""
     try:
-        return gufunc(stack, signature=signature)
+        return gufunc(*operands, signature=signature)
     except LinAlgError:
         raise
     except ValueError as err:
@@ -140,6 +145,27 @@ def operator_norms(stack) -> np.ndarray:
     """`operator_norm` of every matrix of a (k, d, d) stack, in one batched
     SVD; of a (d, d) matrix, as a 0-d array."""
     return _lapack(_svd, "d->d", _finite(stack))[..., 0]
+
+
+def least_squares_line(x, y) -> tuple[float, float]:
+    """(slope, intercept) of the least-squares line through the points
+    (x[i], y[i]), with the bits of `np.polyfit(x, y, 1)`: the same system
+    (the Vandermonde matrix [x, 1] with its columns scaled to unit norm,
+    and `y + 0.0`), solved by the same gufunc (LAPACK's SVD-based dgelsd)
+    with the same cut-off `len(x) * eps`, and the same RankWarning when
+    the system has rank below 2.  The inputs are not checked: an inf or
+    nan in `y` gives a nan line, as it does in `np.polyfit`."""
+    x = np.asarray(x) + 0.0
+    lhs = np.empty((x.size, 2))
+    lhs[:, 0], lhs[:, 1] = x, 1.0
+    scale = np.sqrt(np.add.reduce(lhs * lhs, axis=0))
+    lhs /= scale
+    rhs = (np.asarray(y) + 0.0)[:, None]
+    c, _, rank, _ = _lapack(_lstsq, "ddd->ddid", lhs, rhs, x.size * sys.float_info.epsilon)
+    if rank < 2:
+        warnings.warn("the line fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
+    slope, intercept = (c[:, 0] / scale).tolist()
+    return slope, intercept
 
 
 def commutator(a, b) -> np.ndarray:

@@ -11,7 +11,7 @@ import numpy as np
 from . import linalg
 from .family import MatrixFamily
 from .graph import SwitchingSignal
-from .linalg import as_vector, operator_norms
+from .linalg import as_vector, least_squares_line, operator_norms
 
 # Norms below this underflow guard are dropped before taking logs.
 _LOG_FLOOR = 1e-300
@@ -31,7 +31,8 @@ class Trajectory:
     def write_csv(self, path) -> None:
         """The header `t,norm` and one row per time, CRLF-terminated as the
         csv module writes them, norms to 17 significant digits; one write."""
-        rows = "".join(f"{t},{n:.17g}\r\n" for t, n in enumerate(self.norms.tolist()))
+        norms = self.norms.tolist()
+        rows = "".join(map("{0},{1:.17g}\r\n".format, range(len(norms)), norms))
         with open(path, "w", newline="") as f:
             f.write("t,norm\r\n" + rows)
 
@@ -81,13 +82,15 @@ def _step(mats: list[np.ndarray], states: np.ndarray) -> None:
     """Fill states[1:] from states[0], writing each step's `a @ x` straight
     into its row by one BLAS call, with no temporary and no product caching.
     `states` is (T+1, d) for one trial, (T+1, d, d) for prefix products, or
-    (T+1, k, d, 1) for a stack of k trials.  `np.dot` is the cheaper call,
-    but where the last axis has length 1 it contracts the wrong axis of a
-    stack and takes a 1 x 1 matrix as a scalar (keeping a -0.0 that
-    matmul's sum makes +0.0), so `np.matmul` steps there.  numpy multiplies
-    each (d, 1) slice of a stack with the bits of (d, d) @ (d,), which a
-    plain (d, d) @ (d, k) product does not give."""
-    product = np.dot if states.shape[-1] > 1 else np.matmul
+    (T+1, k, d, 1) for a stack of k trials.  The ndarray's own `dot` is the
+    cheaper call: it runs the C routine of `np.dot` without numpy's
+    `__array_function__` dispatch, about a third of a 2 x 2 step.  Where the
+    last axis has length 1 it would contract the wrong axis of a stack and
+    take a 1 x 1 matrix as a scalar (keeping a -0.0 that matmul's sum makes
+    +0.0), so `np.matmul` steps there.  numpy multiplies each (d, 1) slice
+    of a stack with the bits of (d, d) @ (d,), which a plain (d, d) @ (d, k)
+    product does not give."""
+    product = np.ndarray.dot if states.shape[-1] > 1 else np.matmul
     x = states[0]
     for a, row in zip(mats, states[1:]):
         x = product(a, x, out=row)
@@ -114,7 +117,8 @@ def simulate(
     # a diverging trajectory may leave double range; its states hold inf/nan
     with np.errstate(over="ignore", invalid="ignore"):
         _step(mats, states)
-        norms = np.linalg.norm(states, axis=1)
+        # np.linalg.norm(states, axis=1) for real input, without its wrapper
+        norms = np.sqrt(np.add.reduce(states * states, axis=1))
     return Trajectory(states=states, norms=norms)
 
 
@@ -142,7 +146,7 @@ def seeded_trials(
         states[0, :, :, 0] = [trial_x0(seed, k, dim) for k in ks]
         with np.errstate(over="ignore", invalid="ignore"):
             _step(mats, states)
-            norms = np.linalg.norm(states, axis=2)
+            norms = np.sqrt(np.add.reduce(states * states, axis=2))
         for j in range(len(ks)):
             yield Trajectory(states=states[:, j, :, 0], norms=norms[:, j, 0])
 
@@ -192,12 +196,14 @@ def fit_decay(norms) -> DecayFit:
     """Ordinary least squares of log norms against time.
 
     Entries below the underflow guard are dropped; at least two positive
-    entries are required.
+    entries are required.  The line is `linalg.least_squares_line`, which
+    has the bits of `np.polyfit(t, log(norms), 1)` without its argument
+    checks.
     """
     norms = np.asarray(norms, dtype=float)
     t = np.arange(norms.size)
     keep = norms > _LOG_FLOOR
     if int(np.count_nonzero(keep)) < 2:
         raise ValueError("need at least two positive norms to fit a decay rate")
-    slope, intercept = np.polyfit(t[keep], np.log(norms[keep]), 1)
-    return DecayFit(amplitude=math.exp(intercept), rate=-float(slope))
+    slope, intercept = least_squares_line(t[keep], np.log(norms[keep]))
+    return DecayFit(amplitude=math.exp(intercept), rate=-slope)

@@ -2,6 +2,8 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swstab import (
     WalkGenerator,
@@ -126,6 +128,35 @@ def test_max_stable_gap():
     assert max_stable_gap(g, [1, 2, 3, 4, 1, 4]) == 3
     assert max_stable_gap(g, [4, 4, 4]) == 0
     assert max_stable_gap(g, [1, 2, 3]) == 3
+
+
+def _max_call_gap(graph, walk):
+    """`max_stable_gap` as it was with one `max()` call per plain vertex,
+    frozen as its reference."""
+    gap = best = 0
+    hub = graph.stable_vertex
+    for v in walk:
+        if v == hub:
+            gap = 0
+        else:
+            gap += 1
+            best = max(best, gap)
+    return best
+
+
+walks_with_their_n = st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(1, n + 1), max_size=60))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks_with_their_n)
+def test_max_stable_gap_equals_the_max_call_loop(case):
+    # any vertex sequence, so walks that start or end with plain vertices,
+    # hub-only walks and the empty walk all occur
+    n, walk = case
+    g = build_graph(n)
+    assert max_stable_gap(g, walk) == _max_call_gap(g, walk)
 
 
 # The schedules `swstab simulate`/`experiment` and criterion 2 run, pinned

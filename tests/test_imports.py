@@ -90,10 +90,10 @@ def test_src_imports_only_numpy_and_the_standard_library():
     assert found == {}
 
 
-# numpy's eigenvalue and singular-value routines and the gufunc module
-# under them; only src/swstab/linalg.py may reach them, so each operation
-# has one kernel.
-LAPACK = {"eigvals", "svd", "_umath_linalg"}
+# numpy's eigenvalue, singular-value and least-squares routines, the
+# line fit built on the last, and the gufunc module under them; only
+# src/swstab/linalg.py may reach them, so each operation has one kernel.
+LAPACK = {"eigvals", "svd", "lstsq", "polyfit", "_umath_linalg"}
 
 
 def lapack_uses(source: str) -> list[str]:
@@ -120,6 +120,8 @@ def test_lapack_checker_flags_attributes_and_imports():
         "import numpy.linalg._umath_linalg\n"
         "np.linalg.norm(x)\n"
         "from numpy.linalg._umath_linalg import eigvals\n"
+        "np.linalg.lstsq(a, b)\n"
+        "slope, intercept = np.polyfit(t, y, 1)\n"
     )
     assert lapack_uses(source) == [
         "line 2: eigvals",
@@ -127,6 +129,8 @@ def test_lapack_checker_flags_attributes_and_imports():
         "line 4: _umath_linalg",
         "line 6: _umath_linalg",
         "line 6: eigvals",
+        "line 7: lstsq",
+        "line 8: polyfit",
     ]
 
 

@@ -126,7 +126,7 @@ def test_max_resamples_is_read_at_call_time(monkeypatch):
         generate_random_instance(2, 1, seed=0)
 
 
-def test_draws_come_a_family_at_a_time_within_the_entry_bound(monkeypatch):
+def test_draws_come_eight_families_at_a_time_within_the_entry_bound(monkeypatch):
     chunks = []
 
     def spy(stack):
@@ -135,9 +135,25 @@ def test_draws_come_a_family_at_a_time_within_the_entry_bound(monkeypatch):
 
     monkeypatch.setattr(instances, "spectral_radii", spy)
     generate_random_instance(3, 2, seed=1000)
-    assert chunks and all(shape == (3, 2, 2) for shape in chunks)
+    assert chunks and all(shape == (24, 2, 2) for shape in chunks)
     chunks.clear()
     # every 64 x 64 draw is unstable: 32 draws of 4096 entries, then 32 more
     generate_random_instance(40, 64, seed=0)
     assert chunks == [(32, 64, 64)] * 2
     assert 32 * 64 * 64 == BATCH_ENTRIES
+
+
+def test_resample_cap_counts_rejections_across_chunks(monkeypatch):
+    # every 1 x 1 draw is stable; chunks of 16 draws reach 40 rejections in
+    # the third chunk, which raises before a fourth is drawn
+    chunks = []
+
+    def spy(stack):
+        chunks.append(len(stack))
+        return spectral_radii(stack)
+
+    monkeypatch.setattr(instances, "MAX_RESAMPLES", 40)
+    monkeypatch.setattr(instances, "spectral_radii", spy)
+    with pytest.raises(RuntimeError, match=r"^no unstable matrix found in 40 draws \(dim=1\)$"):
+        generate_random_instance(2, 1, seed=0)
+    assert chunks == [16, 16, 16]

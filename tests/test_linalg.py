@@ -222,18 +222,47 @@ def test_direct_kernels_refuse_stacks_numpy_linalg_refuses():
         operator_norms(np.array([np.eye(2), [[np.nan, 0.0], [0.0, 1.0]]]))
 
 
-@pytest.mark.parametrize("gufunc", ["_eigvals", "_svd"])
+@pytest.mark.parametrize("gufunc", ["_eigvals", "_svd", "_lstsq"])
 def test_lapack_non_convergence_raises_linalg_error(monkeypatch, gufunc):
-    def not_converging(stack, signature):
+    def not_converging(stack, *operands, signature):
         # LAPACK's failure reaches numpy as an invalid value: a nan result
         # with the floating-point invalid flag raised.
         return np.sqrt(np.full(stack.shape[:-1], -1.0))
 
     monkeypatch.setattr(linalg, gufunc, not_converging)
     a = np.diag([0.5, 2.0])
-    calls = (spectral_radius, is_schur_stable, spectral_radii) if gufunc == "_eigvals" else (operator_norm, operator_norms)
+    calls = {
+        "_eigvals": (spectral_radius, is_schur_stable, spectral_radii),
+        "_svd": (operator_norm, operator_norms),
+        "_lstsq": (lambda a: linalg.least_squares_line(a[0], a[1]),),
+    }[gufunc]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in calls:
             with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
                 call(a)
+
+
+def _line_and_warnings(fit, x, y):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = np.array(fit(x, y), dtype=float).tobytes()
+    return line, [w.category for w in caught]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.floats(-1e6, 1e6),
+    st.floats(1e-3, 1e6),
+    st.booleans(),  # every x the same (and not 0): a system of rank 1
+    st.integers(0, 2**32 - 1),
+)
+def test_least_squares_line_gives_the_bits_of_polyfit(n, shift, spread, flat, seed):
+    rng = np.random.default_rng(seed)
+    x = np.full(n, spread) if flat else shift + spread * rng.standard_normal(n)
+    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-5, 5)
+    got = _line_and_warnings(linalg.least_squares_line, x, y)
+    want = _line_and_warnings(lambda x, y: np.polyfit(x, y, 1), x, y)
+    assert got == want
+    assert bool(got[1]) == (flat or n == 1)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swstab import (
     build_graph,
@@ -13,6 +15,7 @@ from swstab import (
     walk_to_signal,
 )
 from swstab.graph import SwitchingSignal
+from swstab.simulate import _LOG_FLOOR, DecayFit
 
 
 def _signal(diag_comb, walk):
@@ -87,6 +90,61 @@ def test_fit_decay_drops_underflowed_entries():
     assert math.isfinite(fit.rate)
     with pytest.raises(ValueError):
         fit_decay([1.0, 0.0, 0.0])
+
+
+def _polyfit_decay(norms):
+    """`fit_decay` as it was with `np.polyfit`, frozen as the reference
+    for its line fit."""
+    norms = np.asarray(norms, dtype=float)
+    t = np.arange(norms.size)
+    keep = norms > _LOG_FLOOR
+    if int(np.count_nonzero(keep)) < 2:
+        raise ValueError("need at least two positive norms to fit a decay rate")
+    slope, intercept = np.polyfit(t[keep], np.log(norms[keep]), 1)
+    return DecayFit(amplitude=math.exp(intercept), rate=-float(slope))
+
+
+def _fit_outcome(fit, norms):
+    """The fit's bits, or the error's type and message."""
+    try:
+        got = fit(norms)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return np.array([got.amplitude, got.rate]).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 500),
+    st.floats(-1.0, 1.0),  # decay rate: norms grow where it is negative
+    st.floats(-7.0, 7.0),  # log amplitude
+    st.floats(0.0, 1.0),  # noise on the log norms
+    st.floats(0.0, 1.0),  # share of entries at 0 or below the floor
+    st.integers(0, 2**32 - 1),
+)
+def test_fit_decay_equals_the_polyfit_fit(n, rate, log_amp, noise, dropped, seed):
+    rng = np.random.default_rng(seed)
+    norms = np.exp(log_amp - rate * np.arange(n) + noise * rng.standard_normal(n))
+    drop = rng.random(n) < dropped
+    norms[drop] = rng.choice([0.0, 5e-324, 1e-310, _LOG_FLOOR], size=int(drop.sum()))
+    assert _fit_outcome(fit_decay, norms) == _fit_outcome(_polyfit_decay, norms)
+
+
+@pytest.mark.parametrize(
+    "norms",
+    [
+        [],
+        [1.0],
+        [1.0, 0.0, 0.0],
+        [0.0, _LOG_FLOOR, 2.0],
+        [1.0, 0.5],
+        [1e300, 1e-299, 1.0],
+        [1.0, math.inf, 0.5],
+        [1.0, math.nan, 0.5, 0.25],
+    ],
+)
+def test_fit_decay_equals_the_polyfit_fit_at_the_edges(norms):
+    assert _fit_outcome(fit_decay, norms) == _fit_outcome(_polyfit_decay, norms)
 
 
 def test_periodic_stable_walk_decays(diag_family, diag_comb):

@@ -2,7 +2,8 @@
 
 `generate_random_instance`, `find_stable_combination` and
 `compute_constants` classify and measure whole stacks of matrices with
-one `eigvals` or `svd` call.  The copies below are those functions as
+one `eigvals` or `svd` call (instance draws come eight families at a
+time).  The copies below are those functions as
 they were with one call per matrix: one draw at a time, one candidate at
 a time with lazily cached powers, one norm at a time.  Every output must
 be the same, bit for bit.
@@ -13,6 +14,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from swstab import (
     SCHUR_MARGIN,
@@ -176,6 +179,32 @@ def test_resample_bound_holds_per_matrix(monkeypatch):
             assert got == want
         outcomes.append(type(want))
     assert set(outcomes) == {MatrixFamily, tuple}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 12), st.integers(2, 4), st.integers(0, 2**64 - 1))
+def test_chunked_draws_equal_the_per_matrix_draws(n, dim, seed):
+    got, want = generate_random_instance(n, dim, seed), reference_instance(n, dim, seed)
+    assert all(_same_bits(a, b) for a, b in zip(got.subsystems, want.subsystems, strict=True))
+
+
+@pytest.mark.parametrize("cap", [1, 3, 6, 17, 40])
+def test_resample_bound_raises_where_the_per_matrix_draws_do(monkeypatch, cap):
+    # a chunk holds 8N draws; at d = 2 about 78 % of draws are stable, so
+    # with these caps some families fill and some run out, at times after
+    # a run of rejections that spans chunks
+    monkeypatch.setattr(instances, "MAX_RESAMPLES", cap)
+    kinds = set()
+    for n in (2, 3):
+        for seed in range(300):
+            got, want = _outcome(generate_random_instance, n, 2, seed), _outcome(reference_instance, n, 2, seed)
+            if isinstance(want, MatrixFamily):
+                assert all(_same_bits(a, b) for a, b in zip(got.subsystems, want.subsystems, strict=True))
+            else:
+                assert got == want
+            kinds.add(type(want))
+    if cap <= 6:
+        assert kinds == {MatrixFamily, tuple}
 
 
 def _diag_family(*diagonals):

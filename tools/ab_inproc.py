@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Compare the envelope scans of two checkouts in one process.
+"""Compare the envelope scans and the schedule stage of two checkouts in one process.
 
     python3 tools/ab_inproc.py PARENT CHANGE [--rounds 41]
 
 Copies ``src/swstab`` of the checkouts PARENT and CHANGE into a temporary
 directory as the packages ``swstab_parent`` and ``swstab_change`` and
 imports both, so both sides run on the same interpreter, CPU and moment.
-It times a fixed list of ``envelope_profile`` calls, one row at a time:
+It times a fixed list of calls, one row at a time.  The envelope rows
+are ``envelope_profile`` calls:
 
 - ``oracle``: the scans of one cycle of the benchmark's ``oracle``
   workload at seed 0 (per instance, the basis length, basis + 6 and the
@@ -22,18 +23,34 @@ It times a fixed list of ``envelope_profile`` calls, one row at a time:
   d = 2) at 3,907 products, just past the count at which the scan
   prunes, and at its deep horizon in the ``oracle`` cycle.
 
-Each side builds its own families and combinations from the same
-matrices.  Before timing, every call's peaks, walks and counts must be
-equal on both sides.  In each round both sides run every row, PARENT
-first in even rounds and CHANGE first in odd ones.  A row repeats its
-calls as often as makes one pass of CHANGE's about 5 ms, sized by the
-median of SIZING_CALLS passes run one after another, the same number of
-times on both sides.  For each row it prints each side's median time per pass in ms,
-the median over rounds of the speed-up PARENT/CHANGE, that speed-up's
-quartiles (q1-q3), and the rounds CHANGE was faster.  The process pins
-itself to one CPU and runs BLAS on one thread, as the benchmark does.
-Host speed drifts move both sides of a round alike, which makes the
-ratio steadier than a comparison of separate runs.
+The schedule rows run the stage on the diagonal pair (d = 2) and on the
+``schedule`` workload's d = 4 family at seed 0 (the first N = 3, d = 4
+population instance with a combination), under the seed-0
+``uniform-random`` schedule of horizon SCHEDULE_HORIZON:
+
+- ``simulate d=2`` and ``simulate d=4``: ``simulate`` from
+  SCHEDULE_STATES initial states ``trial_x0(0, k, d)``;
+- ``product_norms``: ``product_norms`` on both families;
+- ``fit_decay``: ``fit_decay`` on the norms of those trajectories and
+  products;
+- ``160 walks``: SHORT_WALKS ``uniform-random`` walks of SHORT_STEPS
+  vertices on graphs of N = 1..6, each followed by ``validate_walk`` and
+  ``max_stable_gap``.
+
+Each side builds its own families, combinations and signals from the
+same matrices.  Before timing, every call's outcome must be equal on
+both sides: peaks, walks and counts of a scan, the bytes of states and
+norms, a fit's bytes, and walks and gaps.  In each round both sides run
+every row, PARENT first in even rounds and CHANGE first in odd ones.  A
+row repeats its calls as often as makes one pass of CHANGE's about
+5 ms, sized by the median of SIZING_CALLS passes run one after another,
+the same number of times on both sides.  For each row it prints each
+side's median time per pass in ms, the median over rounds of the
+speed-up PARENT/CHANGE, that speed-up's quartiles (q1-q3), and the
+rounds CHANGE was faster.  The process pins itself to one CPU and runs
+BLAS on one thread, as the benchmark does.  Host speed drifts move both
+sides of a round alike, which makes the ratio steadier than a comparison
+of separate runs.
 """
 
 from __future__ import annotations
@@ -44,6 +61,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse
+import functools
 import gc
 import importlib
 import shutil
@@ -60,6 +78,9 @@ N10_HORIZONS = (3, 7)
 WEAK_SEED, WEAK_HORIZONS = 1088, (13, 15)
 TARGET_S = 0.005  # a row repeats its calls until one pass takes about this long
 SIZING_CALLS = 7  # timed passes whose median sizes a row's repetitions
+SCHEDULE_HORIZON = 400  # steps of the schedule rows' trajectories and products
+SCHEDULE_STATES = 20  # initial states per family of the simulate rows
+SHORT_WALKS, SHORT_STEPS = 160, 20
 
 
 def load_sides(parent: Path, change: Path, tmp: Path) -> dict:
@@ -116,15 +137,76 @@ def bind(sw, calls) -> list:
     return bound
 
 
-def run(sw, bound, reps: int) -> list[float]:
-    """Seconds of each of `reps` passes over the bound calls, run one after
+def profile_key(prof):
+    return prof.peaks, prof.walks, prof.counts
+
+
+def envelope_row(sw, calls) -> list:
+    """The `envelope_profile` calls of a row as thunks of package `sw`."""
+    return [functools.partial(sw.envelope_profile, *call) for call in bind(sw, calls)]
+
+
+def d4_family(sw) -> tuple:
+    """The subsystem matrices of the seed-0 ``schedule`` workload's d = 4
+    family: the first N = 3 population instance with a combination."""
+    import workloads
+
+    for inst_seed, _ in workloads.population(0):
+        family = sw.generate_random_instance(3, 4, inst_seed)
+        if sw.find_stable_combination(family) is not None:
+            return family.subsystems
+
+
+def short_walks(sw) -> list:
+    """SHORT_WALKS short walks, each validated and measured for its gap."""
+    out = []
+    for j in range(SHORT_WALKS):
+        graph = sw.build_graph(1 + j % 6)
+        walk = sw.generate_walk(graph, "uniform-random", SHORT_STEPS, seed=(0, j))
+        sw.validate_walk(graph, walk)
+        out.append((walk, sw.max_stable_gap(graph, walk)))
+    return out
+
+
+def schedule_rows(sw, families) -> dict:
+    """The schedule rows of package `sw` as thunks, with each row's key
+    that turns an outcome into what the equality gate compares."""
+    runs = []
+    for family, comb, h in bind(sw, [(mats, SCHEDULE_HORIZON) for mats in families]):
+        graph = sw.build_graph(family.size)
+        walk = sw.walk_for_horizon(graph, comb, "uniform-random", 0, h)
+        runs.append((family, sw.walk_to_signal(graph, walk, comb), h))
+    rows = {}
+    for family, signal, h in runs:
+        x0s = [sw.trial_x0(0, k, family.dim) for k in range(SCHEDULE_STATES)]
+        rows[f"simulate d={family.dim}"] = (
+            [functools.partial(sw.simulate, family, signal, x0, h) for x0 in x0s],
+            lambda traj: (traj.states.tobytes(), traj.norms.tobytes()),
+        )
+    rows["product_norms"] = (
+        [functools.partial(sw.product_norms, *run) for run in runs],
+        lambda norms: norms.tobytes(),
+    )
+    norms = [sw.simulate(family, signal, sw.trial_x0(0, k, family.dim), h).norms
+             for family, signal, h in runs for k in range(SCHEDULE_STATES)]
+    norms += [sw.product_norms(*run) for run in runs]
+    rows["fit_decay"] = (
+        [functools.partial(sw.fit_decay, n) for n in norms],
+        lambda fit: (fit.amplitude.hex(), fit.rate.hex()),
+    )
+    rows[f"{SHORT_WALKS} walks"] = ([functools.partial(short_walks, sw)], lambda out: out)
+    return rows
+
+
+def run(thunks, reps: int) -> list[float]:
+    """Seconds of each of `reps` passes over a row's calls, run one after
     another after one garbage collection."""
     gc.collect()
     times = []
     for _ in range(reps):
         start = time.perf_counter()
-        for family, comb, h in bound:
-            sw.envelope_profile(family, comb, h)
+        for call in thunks:
+            call()
         times.append(time.perf_counter() - start)
     return times
 
@@ -146,35 +228,37 @@ def main(argv=None) -> int:
         rows |= {f"n10 h={h}": [(n10, h)] for h in N10_HORIZONS}
         weak = packages["change"].generate_random_instance(3, 2, WEAK_SEED).subsystems
         rows |= {f"{WEAK_SEED} h={h}": [(weak, h)] for h in WEAK_HORIZONS}
-        bound = {side: {name: bind(sw, calls) for name, calls in rows.items()} for side, sw in packages.items()}
-        for name in rows:
-            got = {
-                side: [
-                    (prof.peaks, prof.walks, prof.counts)
-                    for prof in (packages[side].envelope_profile(*call) for call in bound[side][name])
-                ]
-                for side in SIDES
-            }
-            if got["parent"] != got["change"]:
-                sys.exit(f"{name}: the profiles differ")
-        reps = {
-            name: max(1, round(TARGET_S / statistics.median(run(packages["change"], bound["change"][name], SIZING_CALLS))))
-            for name in rows
+        schedule = (diag, d4_family(packages["change"]))
+        # name -> side -> (thunks, key)
+        bound = {
+            name: {side: (envelope_row(sw, calls), profile_key) for side, sw in packages.items()}
+            for name, calls in rows.items()
         }
-        times = {name: {side: [] for side in SIDES} for name in rows}
+        for side, sw in packages.items():
+            for name, row in schedule_rows(sw, schedule).items():
+                bound.setdefault(name, {})[side] = row
+        for name, sides in bound.items():
+            got = {side: [key(call()) for call in thunks] for side, (thunks, key) in sides.items()}
+            if got["parent"] != got["change"]:
+                sys.exit(f"{name}: the outcomes differ")
+        reps = {
+            name: max(1, round(TARGET_S / statistics.median(run(sides["change"][0], SIZING_CALLS))))
+            for name, sides in bound.items()
+        }
+        times = {name: {side: [] for side in SIDES} for name in bound}
         for k in range(args.rounds):
             order = SIDES if k % 2 == 0 else SIDES[::-1]
-            for name in rows:
+            for name, sides in bound.items():
                 for side in order:
-                    times[name][side].append(sum(run(packages[side], bound[side][name], reps[name])) / reps[name])
+                    times[name][side].append(sum(run(sides[side][0], reps[name])) / reps[name])
     print(f"{len(oracle)} oracle scans; {args.rounds} rounds, sides alternating; ms per pass")
-    print(f"{'row':<10} {'reps':>5} {'parent':>9} {'change':>9} {'speed-up':>9} {'q1-q3':>12}  change won")
-    for name in rows:
+    print(f"{'row':<14} {'reps':>5} {'parent':>9} {'change':>9} {'speed-up':>9} {'q1-q3':>12}  change won")
+    for name in bound:
         parent, change = times[name]["parent"], times[name]["change"]
         ups = [q / c for q, c in zip(parent, change)]
         q1, q2, q3 = statistics.quantiles(ups, n=4)
         won = sum(u > 1.0 for u in ups)
-        print(f"{name:<10} {reps[name]:>5} {statistics.median(parent) * 1e3:>9.4g}"
+        print(f"{name:<14} {reps[name]:>5} {statistics.median(parent) * 1e3:>9.4g}"
               f" {statistics.median(change) * 1e3:>9.4g} {q2:>9.3f} {f'{q1:.2f}-{q3:.2f}':>12}"
               f"  {won}/{args.rounds}")
     return 0
