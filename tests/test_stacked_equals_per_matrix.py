@@ -3,10 +3,10 @@
 `generate_random_instance`, `find_stable_combination` and
 `compute_constants` classify and measure whole stacks of matrices with
 one `eigvals` or `svd` call (instance draws come eight families at a
-time).  The copies below are those functions as
-they were with one call per matrix: one draw at a time, one candidate at
-a time with lazily cached powers, one norm at a time.  Every output must
-be the same, bit for bit.
+time).  The copies below are those functions as they were with one call
+per matrix: one draw at a time, one candidate at a time with lazily
+cached powers, one norm at a time.  Every output must be the same, bit
+for bit.
 """
 
 import math
