@@ -222,10 +222,12 @@ class SwitchingSignal:
 
     def write_csv(self, path) -> None:
         """The header `t,sigma` and one row per step, CRLF-terminated as the
-        csv module writes them; one write."""
-        rows = "".join(f"{t},{ell}\r\n" for t, ell in enumerate(self.steps))
+        csv module writes them; one `%` formats the file and one write
+        writes it."""
+        cells = [0] * (2 * len(self.steps))
+        cells[::2], cells[1::2] = range(len(self.steps)), self.steps
         with open(path, "w", newline="") as f:
-            f.write("t,sigma\r\n" + rows)
+            f.write(("t,sigma\r\n" + "%d,%d\r\n" * len(self.steps)) % tuple(cells))
 
 
 def walk_to_signal(

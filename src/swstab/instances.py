@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .family import MatrixFamily
-from .linalg import SCHUR_MARGIN, batch_rows, spectral_radii
+from .linalg import batch_rows, schur_stable
 
 MAX_RESAMPLES = 10_000
 
@@ -86,7 +86,7 @@ def generate_random_instance(n_subsystems: int, dim: int, seed: int) -> MatrixFa
     the classification margin), matching the usual random ensemble for
     this problem.  Fully deterministic per seed (numpy PCG64).  The draws
     are taken eight families' worth at a time (at most `batch_rows(dim)`
-    matrices), classified with one radius call, and the accepted ones
+    matrices), classified with one `schur_stable` call, and the accepted ones
     consumed in order, so the family is the one that one draw per matrix
     gives from the same stream; the draws left over when the family is
     complete are unused.  MAX_RESAMPLES rejections in a row, counted
@@ -102,7 +102,7 @@ def generate_random_instance(n_subsystems: int, dim: int, seed: int) -> MatrixFa
     while True:
         chunk = rng.uniform(-1.0, 1.0, size=(size, dim, dim))
         last = -1  # position of the chunk's last accepted draw
-        for i in (spectral_radii(chunk) >= 1.0 - SCHUR_MARGIN).nonzero()[0].tolist():
+        for i in (~schur_stable(chunk)).nonzero()[0].tolist():
             rejected += i - last - 1
             if rejected >= MAX_RESAMPLES:
                 break

@@ -7,6 +7,12 @@ speed everywhere.  The stacked kernels (`spectral_radii`, `operator_norms`)
 make one LAPACK call per matrix inside one numpy call, and give the same
 bits as the one-matrix kernels on each matrix.
 
+The Schur verdicts (`is_schur_stable` on one matrix, `schur_stable` on a
+stack) of a 2 x 2 matrix come from a closed-form radius (`_radius_2x2`)
+instead, without a LAPACK call; only where that radius lies within a
+band of the threshold, or something leaves double range, do they ask
+LAPACK.  Every verdict is the one LAPACK's radius gives.
+
 Every operation calls numpy.linalg's own LAPACK gufuncs (see `_lapack`)
 on the same float64 input, so every radius, norm and fitted line has
 numpy's bits without its per-call wrapper.  This module is the package's
@@ -17,6 +23,7 @@ least-squares routine, through numpy.linalg or `np.polyfit`
 
 from __future__ import annotations
 
+import math
 import sys
 import warnings
 
@@ -32,6 +39,11 @@ from numpy.linalg._umath_linalg import svd as _svd
 # Spectral radii within this margin below 1 are never certified as Schur
 # stable.
 SCHUR_MARGIN = 1e-9
+
+# A closed-form radius within this multiple of S, the sum of the moduli of
+# a 2 x 2 matrix's entries, of the threshold 1 - tol leaves the Schur
+# verdict to LAPACK (see `_radius_2x2`).
+_BAND = 2.0**-16
 
 # A stack of matrices that the package forms at once holds at most this
 # many entries (1 MiB of float64).
@@ -127,13 +139,103 @@ def spectral_radius(a) -> float:
     return max(np.abs(_lapack(_eigvals, "d->D", as_matrix(a))).tolist())
 
 
+def _pick(cond, x, y):
+    return x if cond else y
+
+
+def _radius_2x2(a, b, c, d, where):
+    """The spectral radius ρ̂ of [[a, b], [c, d]] in closed form, and the sum
+    S = |a| + |b| + |c| + |d|, on Python floats or on float64 arrays of
+    entries alike; `where(cond, x, y)` picks each branch (`_pick` for
+    floats, `np.where` for arrays).
+
+    With τ = (a + d)/2 and disc = ((a - d)/2)² + bc, which is τ² - det
+    without the cancellation between them, the eigenvalues are τ ± √disc:
+    ρ = |τ| + √disc when disc ≥ 0 and ρ = √det = √(ad - bc) when not.  ρ̂
+    is nan where the second branch meets det < 0, which only rounding
+    makes, and inf or nan where an intermediate of its branch leaves
+    double range.
+
+    Why a verdict `ρ̂ < θ` (θ = 1 - tol) is the verdict of LAPACK's radius
+    ρ_L wherever ρ̂ is finite and |ρ̂ - θ| > _BAND·S: both lie within
+    _BAND·S/2 of the exact radius ρ.  Write ρ(τ, D) for the largest
+    modulus of τ ± √D.  If τ', D' differ from τ, D by δ, Δ, then √D' is
+    within √|Δ| of √D or of -√D (their sum times their difference is Δ),
+    so |ρ(τ', D') - ρ(τ, D)| ≤ |δ| + √|Δ|.  Also ‖A‖₂ ≤ S, and both
+    ((a - d)/2)² + |bc| and |ad| + |bc| are at most S²/4.
+
+    - Closed form.  By the rounding model of Higham (2002, *Accuracy and
+      Stability of Numerical Algorithms*, ch. 3; u = 2⁻⁵³) the computed
+      disc and det are within γ₄·S²/4 and γ₂·S²/4 of the exact ones, so
+      the first branch is within √u·S + 3u·S of ρ.  The second runs
+      where the computed disc is negative, so the exact disc is below
+      γ₄·S²/4, and gives √det' = √(τ² - D') with D' within γ₂·S²/4 of
+      disc: that is ρ(τ, D') where D' ≤ 0, and within 2√D' < 2.5√u·S of
+      it where D' > 0.  Either way |ρ̂ - ρ| < 4√u·S ≈ 2⁻²⁴·S, near a
+      defective matrix as anywhere else.
+    - LAPACK.  numpy's eigvals (dgeev) returns the exact eigenvalues of
+      A + E with ‖E‖₂ ≤ p·u·‖A‖₂, p a modest constant for n = 2
+      (Anderson et al. 1999, *LAPACK Users' Guide*, §4.8).  Then
+      |δ| ≤ ‖E‖₂ and |Δ| ≤ 4‖A‖₂‖E‖₂ + 2‖E‖₂² (the determinant moves by
+      at most 2‖A‖₂‖E‖₂ + ‖E‖₂²), so |ρ_L - ρ| ≲ 2√(p·u)·S, which stays
+      below _BAND·S/2 = 2⁻¹⁷·S for any p up to 10⁵.
+    - Underflow, which Higham's model leaves out, adds at most 2⁻¹⁰⁷⁴ to
+      a result, and moves ρ̂ by less than 2⁻⁵³⁰: below the band while
+      S ≥ 2⁻⁴⁸⁰.  Below that, ρ̂ and ρ_L are both far below 2⁻⁵³, and θ
+      is 0, negative or at least 2⁻⁵³, so both read stable iff θ > 0.
+    """
+    half = 0.5 * (a - d)
+    bc = b * c
+    disc = half * half + bc
+    det = a * d - bc
+    rho = where(
+        disc >= 0.0,
+        abs(0.5 * (a + d)) + abs(disc) ** 0.5,
+        where(det >= 0.0, abs(det) ** 0.5, math.nan),
+    )
+    return rho, abs(a) + abs(b) + abs(c) + abs(d)
+
+
 def is_schur_stable(a, tol: float = SCHUR_MARGIN) -> bool:
     """True iff the spectral radius is below 1 - tol.
 
     Marginal matrices (radius within tol of 1) are treated as not stable,
-    so no certificate ever rests on rounding noise.
+    so no certificate ever rests on rounding noise.  A 2 x 2 matrix is
+    judged by `_radius_2x2` on Python floats (numpy's scalar arithmetic
+    on one matrix costs more than LAPACK) and handed to LAPACK only where
+    that radius is not finite or lies in the band around 1 - tol; the
+    verdict is always the one of `spectral_radius`.
     """
-    return spectral_radius(a) < 1.0 - tol
+    m = np.asarray(a, dtype=float)
+    threshold = 1.0 - tol
+    if m.shape == (2, 2):
+        (a, b), (c, d) = m.tolist()
+        rho, scale = _radius_2x2(a, b, c, d, _pick)
+        if _BAND * scale < abs(rho - threshold) < math.inf:
+            return rho < threshold
+    return spectral_radius(m) < threshold
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def schur_stable(stack, tol: float = SCHUR_MARGIN) -> np.ndarray:
+    """`is_schur_stable` of every matrix of a (k, d, d) stack, as a bool
+    array; of a (d, d) matrix, as a 0-d one.  At d = 2 the closed form
+    (`_radius_2x2`) judges the whole stack at once, and one `spectral_radii`
+    call the matrices it leaves to LAPACK, if any; at other d that call
+    judges them all."""
+    stack = np.asarray(stack, dtype=float)
+    threshold = 1.0 - tol
+    if stack.shape[-2:] != (2, 2):
+        return spectral_radii(stack) < threshold
+    rho, scale = _radius_2x2(
+        stack[..., 0, 0], stack[..., 0, 1], stack[..., 1, 0], stack[..., 1, 1], np.where
+    )
+    gap = abs(rho - threshold)
+    stable = np.asarray(rho < threshold)
+    unsure = ~((_BAND * scale < gap) & (gap < math.inf))
+    if unsure.any():
+        stable[unsure] = spectral_radii(stack[unsure]) < threshold
+    return stable
 
 
 def operator_norm(a) -> float:

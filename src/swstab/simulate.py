@@ -30,11 +30,13 @@ class Trajectory:
 
     def write_csv(self, path) -> None:
         """The header `t,norm` and one row per time, CRLF-terminated as the
-        csv module writes them, norms to 17 significant digits; one write."""
+        csv module writes them, norms to 17 significant digits; one `%`
+        formats the file and one write writes it."""
         norms = self.norms.tolist()
-        rows = "".join(map("{0},{1:.17g}\r\n".format, range(len(norms)), norms))
+        cells = [0] * (2 * len(norms))
+        cells[::2], cells[1::2] = range(len(norms)), norms
         with open(path, "w", newline="") as f:
-            f.write("t,norm\r\n" + rows)
+            f.write(("t,norm\r\n" + "%d,%.17g\r\n" * len(norms)) % tuple(cells))
 
 
 @dataclass(frozen=True)

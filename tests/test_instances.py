@@ -11,7 +11,7 @@ from swstab import (
     parse_instance,
     write_instance,
 )
-from swstab.linalg import BATCH_ENTRIES, spectral_radii
+from swstab.linalg import BATCH_ENTRIES, schur_stable
 
 
 def test_roundtrip_is_exact(tmp_path, diag_family):
@@ -131,9 +131,9 @@ def test_draws_come_eight_families_at_a_time_within_the_entry_bound(monkeypatch)
 
     def spy(stack):
         chunks.append(stack.shape)
-        return spectral_radii(stack)
+        return schur_stable(stack)
 
-    monkeypatch.setattr(instances, "spectral_radii", spy)
+    monkeypatch.setattr(instances, "schur_stable", spy)
     generate_random_instance(3, 2, seed=1000)
     assert chunks and all(shape == (24, 2, 2) for shape in chunks)
     chunks.clear()
@@ -150,10 +150,10 @@ def test_resample_cap_counts_rejections_across_chunks(monkeypatch):
 
     def spy(stack):
         chunks.append(len(stack))
-        return spectral_radii(stack)
+        return schur_stable(stack)
 
     monkeypatch.setattr(instances, "MAX_RESAMPLES", 40)
-    monkeypatch.setattr(instances, "spectral_radii", spy)
+    monkeypatch.setattr(instances, "schur_stable", spy)
     with pytest.raises(RuntimeError, match=r"^no unstable matrix found in 40 draws \(dim=1\)$"):
         generate_random_instance(2, 1, seed=0)
     assert chunks == [16, 16, 16]

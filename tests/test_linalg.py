@@ -16,7 +16,7 @@ from swstab import (
     spectral_radius,
 )
 from swstab import linalg
-from swstab.linalg import NonFiniteMatrixError, operator_norms, spectral_radii
+from swstab.linalg import NonFiniteMatrixError, operator_norms, schur_stable, spectral_radii
 
 small_matrices = arrays(
     np.float64,
@@ -231,16 +231,20 @@ def test_lapack_non_convergence_raises_linalg_error(monkeypatch, gufunc):
 
     monkeypatch.setattr(linalg, gufunc, not_converging)
     a = np.diag([0.5, 2.0])
+    # a Schur verdict asks LAPACK at d != 2, and at d = 2 only for a
+    # matrix whose closed-form radius lies in the band around 1 - tol
+    verdict_inputs = (np.diag([0.5, 2.0, 0.1]), np.diag([1.0 - SCHUR_MARGIN, 0.0]))
     calls = {
-        "_eigvals": (spectral_radius, is_schur_stable, spectral_radii),
-        "_svd": (operator_norm, operator_norms),
-        "_lstsq": (lambda a: linalg.least_squares_line(a[0], a[1]),),
+        "_eigvals": [(spectral_radius, a), (spectral_radii, a)]
+        + [(verdict, x) for verdict in (is_schur_stable, schur_stable) for x in verdict_inputs],
+        "_svd": [(operator_norm, a), (operator_norms, a)],
+        "_lstsq": [(lambda a: linalg.least_squares_line(a[0], a[1]), a)],
     }[gufunc]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in calls:
+        for call, x in calls:
             with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-                call(a)
+                call(x)
 
 
 def _line_and_warnings(fit, x, y):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the envelope scans and the schedule stage of two checkouts in one process.
+"""Compare the envelope scans, schedule stage and ensemble search of two checkouts in one process.
 
     python3 tools/ab_inproc.py PARENT CHANGE [--rounds 41]
 
@@ -37,14 +37,26 @@ population instance with a combination), under the seed-0
   vertices on graphs of N = 1..6, each followed by ``validate_walk`` and
   ``max_stable_gap``.
 
+The ensemble rows take the instances of one cycle of the benchmark's
+``ensemble`` workload at seed 0 (d = 2):
+
+- ``search miss N=2`` and ``search miss N=3``: ``find_stable_combination``
+  on each instance of that N whose search scans the full grid and finds
+  nothing;
+- ``search hits``: ``find_stable_combination`` on each instance whose
+  search finds a combination;
+- ``generate N=10``: ``generate_random_instance`` of each N = 10
+  instance.
+
 Each side builds its own families, combinations and signals from the
 same matrices.  Before timing, every call's outcome must be equal on
 both sides: peaks, walks and counts of a scan, the bytes of states and
-norms, a fit's bytes, and walks and gaps.  In each round both sides run
-every row, PARENT first in even rounds and CHANGE first in odd ones.  A
-row repeats its calls as often as makes one pass of CHANGE's about
-5 ms, sized by the median of SIZING_CALLS passes run one after another,
-the same number of times on both sides.  For each row it prints each
+norms, a fit's bytes, walks and gaps, a combination's indices, powers,
+product bytes and contraction, and a family's bytes.  In each round
+both sides run every row, PARENT first in even rounds and CHANGE first
+in odd ones.  A row repeats its calls as often as makes one pass of
+CHANGE's about 5 ms, sized by the median of SIZING_CALLS passes run one
+after another, the same number of times on both sides.  For each row it prints each
 side's median time per pass in ms, the median over rounds of the
 speed-up PARENT/CHANGE, that speed-up's quartiles (q1-q3), and the
 rounds CHANGE was faster.  The process pins itself to one CPU and runs
@@ -198,6 +210,37 @@ def schedule_rows(sw, families) -> dict:
     return rows
 
 
+def ensemble_cycle() -> list[tuple[int, int]]:
+    """(instance seed, N) of every instance of one ensemble cycle at seed 0."""
+    import workloads
+    from tracer import NullTracer
+
+    return workloads.stratified(0, NullTracer())
+
+
+def comb_key(comb):
+    if comb is None:
+        return None
+    return (comb.head, comb.tail, comb.head_power, comb.tail_power, comb.product.tobytes(),
+            comb.contraction_power, comb.contraction_norm)
+
+
+def ensemble_rows(sw, cycle) -> dict:
+    """The ensemble rows of package `sw` as thunks, with each row's key."""
+    searches = {"search miss N=2": [], "search miss N=3": [], "search hits": []}
+    for seed, n in cycle:
+        family = sw.generate_random_instance(n, 2, seed)
+        hit = sw.find_stable_combination(family) is not None
+        name = "search hits" if hit else f"search miss N={n}"
+        searches[name].append(functools.partial(sw.find_stable_combination, family))
+    rows = {name: (thunks, comb_key) for name, thunks in searches.items()}
+    rows["generate N=10"] = (
+        [functools.partial(sw.generate_random_instance, n, 2, seed) for seed, n in cycle if n == 10],
+        lambda family: family.stack.tobytes(),
+    )
+    return rows
+
+
 def run(thunks, reps: int) -> list[float]:
     """Seconds of each of `reps` passes over a row's calls, run one after
     another after one garbage collection."""
@@ -229,13 +272,14 @@ def main(argv=None) -> int:
         weak = packages["change"].generate_random_instance(3, 2, WEAK_SEED).subsystems
         rows |= {f"{WEAK_SEED} h={h}": [(weak, h)] for h in WEAK_HORIZONS}
         schedule = (diag, d4_family(packages["change"]))
+        cycle = ensemble_cycle()
         # name -> side -> (thunks, key)
         bound = {
             name: {side: (envelope_row(sw, calls), profile_key) for side, sw in packages.items()}
             for name, calls in rows.items()
         }
         for side, sw in packages.items():
-            for name, row in schedule_rows(sw, schedule).items():
+            for name, row in (schedule_rows(sw, schedule) | ensemble_rows(sw, cycle)).items():
                 bound.setdefault(name, {})[side] = row
         for name, sides in bound.items():
             got = {side: [key(call()) for call in thunks] for side, (thunks, key) in sides.items()}
@@ -252,13 +296,13 @@ def main(argv=None) -> int:
                 for side in order:
                     times[name][side].append(sum(run(sides[side][0], reps[name])) / reps[name])
     print(f"{len(oracle)} oracle scans; {args.rounds} rounds, sides alternating; ms per pass")
-    print(f"{'row':<14} {'reps':>5} {'parent':>9} {'change':>9} {'speed-up':>9} {'q1-q3':>12}  change won")
+    print(f"{'row':<16} {'reps':>5} {'parent':>9} {'change':>9} {'speed-up':>9} {'q1-q3':>12}  change won")
     for name in bound:
         parent, change = times[name]["parent"], times[name]["change"]
         ups = [q / c for q, c in zip(parent, change)]
         q1, q2, q3 = statistics.quantiles(ups, n=4)
         won = sum(u > 1.0 for u in ups)
-        print(f"{name:<14} {reps[name]:>5} {statistics.median(parent) * 1e3:>9.4g}"
+        print(f"{name:<16} {reps[name]:>5} {statistics.median(parent) * 1e3:>9.4g}"
               f" {statistics.median(change) * 1e3:>9.4g} {q2:>9.3f} {f'{q1:.2f}-{q3:.2f}':>12}"
               f"  {won}/{args.rounds}")
     return 0
