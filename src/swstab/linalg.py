@@ -216,7 +216,7 @@ def is_schur_stable(a, tol: float = SCHUR_MARGIN) -> bool:
     return spectral_radius(m) < threshold
 
 
-@np.errstate(over="ignore", invalid="ignore")
+@np.errstate(over="ignore", invalid="ignore", under="ignore")
 def schur_stable(stack, tol: float = SCHUR_MARGIN) -> np.ndarray:
     """`is_schur_stable` of every matrix of a (k, d, d) stack, as a bool
     array; of a (d, d) matrix, as a 0-d one.  At d = 2 the closed form
