@@ -70,9 +70,7 @@ def as_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if np.count_nonzero(np.isfinite(m)) != m.size:  # as in _finite
-        raise NonFiniteMatrixError("matrix entries must be finite")
-    return m
+    return _finite(m)
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:

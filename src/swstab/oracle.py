@@ -131,8 +131,8 @@ class EnvelopeProfile:
         leaves double range, every duration is ranked by its logarithm,
         ln peak + rate * t, and the ratio is inf only if it leaves range too.
         """
-        if not c > 0.0:
-            raise ValueError("envelope constant must be positive")
+        if not 0.0 < c < math.inf:  # an inf c reads every ratio as 0
+            raise ValueError("envelope constant must be positive and finite")
         if math.isnan(rate):
             raise ValueError("rate must not be NaN")
         horizon = self.horizon if horizon is None else horizon
@@ -208,18 +208,21 @@ def _scan(graph: tuple[np.ndarray, list, bool], horizon: int):
     Each product carries its parent's position in the batch before, from
     which a peak's walk is rebuilt.
 
-    `_screen` keeps the products of a batch that may raise low (the
-    running peak when nothing prunes) and tie the batch's largest norm,
-    from the Frobenius norms the scan takes once per batch.  They wait in
-    `pending`, with their batch's nodes and parents, until a batch they
-    descend from is about to be replaced; then `_flush` takes them all in
-    one batched SVD.  Every earlier batch of a duration is flushed before
-    the next one is screened, so each screen sees the peak it would see if
-    every batch were normed at once.
+    `_screen` keeps the products of a batch that may raise low and tie
+    the batch's largest norm, from the Frobenius norms the scan takes once
+    per batch.  They wait in `pending`, with their batch's nodes and
+    parents, until a batch they descend from is about to be replaced; then
+    `_flush` takes them all in one batched SVD.  Every earlier batch of a
+    duration is flushed before the next one is screened, so each screen
+    sees the peak it would see if every batch were normed at once.
 
-    Pruning, when `graph` asks for it (`_Bound`).  A product P of t steps
-    gets no children when, for every s = 1..horizon-t,
-    hi(P) * grow[s] + floor[s] < low[t+s]:
+    low[t] is what a product of t steps must beat to raise a peak: one
+    float array, `_seeds`' values when the scan prunes and the empty
+    product's [1, 0, ..., 0] otherwise, raised to the running peaks after
+    every flush but the last.  A scan whose levels each fit in one slice
+    steps straight down, flushes only at the end and prepares nothing.
+    One that prunes gives a product P of t steps no children when, for
+    every s = 1..horizon-t, hi(P) * grow[s] + floor[s] < low[t+s]:
     - hi(P) = max(||P||_F, d * SCREEN_TINY) * (1 + SCREEN_MARGIN) bounds
       the exact ||P||_F: a computed ||P||_F below SCREEN_TINY, whose
       squares may have underflowed, means every entry is below SCREEN_TINY;
@@ -235,9 +238,9 @@ def _scan(graph: tuple[np.ndarray, list, bool], horizon: int):
     reach nor tie them: the peaks and walks are the unpruned scan's, and
     none of those descendants could have left double range.  For the same
     reason the screen compares a batch against low, not the running peak.
-    low, and the test with it, is renewed when a flush raises a peak above
-    it.  Right after the test a batch keeps only the products that get
-    children, and its slices run over those.
+    The test reads the computed ||P||_F against cut[t] (`_cut`), renewed
+    whenever a flush raises low.  Right after the test a batch keeps only
+    the products that get children, and its slices run over those.
     """
     peaks = [1.0] + [0.0] * horizon
     walks: list[tuple[int, ...]] = [()] * (horizon + 1)
@@ -247,8 +250,13 @@ def _scan(graph: tuple[np.ndarray, list, bool], horizon: int):
     width = max(map(len, lists))
     succ = np.array([s + [0] * (width - len(s)) for s in lists])
     valid = np.array([[k < len(s) for k in range(width)] for s in lists])
-    bound = _Bound(mats, succ, valid, hub, horizon) if prune else None
-    low = bound.low if prune else peaks  # what a product must beat to raise a peak
+    if prune:
+        grow, floor = _growth(mats, succ, valid, horizon)
+        low = _seeds(mats, hub, horizon)
+        tiny = mats.shape[1] * SCREEN_TINY
+        cut = _cut(low, grow, floor, tiny)
+    else:
+        low = np.array(peaks)
     # batches[t]: (products, nodes, parent positions) of the batch of
     # duration t being expanded, holding only the products that get children
     batches = [(mats[:1], np.array([0]), None)] + [None] * horizon
@@ -263,8 +271,10 @@ def _scan(graph: tuple[np.ndarray, list, bool], horizon: int):
         # earlier batches of t + 1 steps set
         if pending and pending[-1][0] > t:
             _flush(pending, hub, batches, peaks, walks)
-            if prune:
-                bound.raise_low(peaks)
+            if (peaks > low).any():
+                np.maximum(low, peaks, out=low)
+                if prune:
+                    cut = _cut(low, grow, floor, tiny)
         stack, node, _ = batches[t]
         rows = node[start : start + SLICE]
         if start + SLICE < len(node):
@@ -281,7 +291,7 @@ def _scan(graph: tuple[np.ndarray, list, bool], horizon: int):
             pending.append((t + 1, prods.take(keep, axis=0), kids, parent, keep.tolist()))
         if t + 1 < horizon:
             if prune:
-                (live,) = (f >= bound.cut[t + 1]).nonzero()
+                (live,) = (f >= cut[t + 1]).nonzero()
                 if len(live) < len(kids):
                     prods, kids, parent = prods.take(live, axis=0), kids.take(live), parent.take(live)
             batches[t + 1] = (prods, kids, parent)
@@ -292,33 +302,17 @@ def _scan(graph: tuple[np.ndarray, list, bool], horizon: int):
     return peaks, walks
 
 
-class _Bound:
-    """The pruning test of one scan (see `_scan`): a product of t steps
-    whose computed Frobenius norm is below cut[t] gets no children."""
-
-    def __init__(self, mats: np.ndarray, succ: np.ndarray, valid: np.ndarray, hub: int, horizon: int):
-        self.grow, self.floor = _growth(mats, succ, valid, horizon)
-        self.low = _seeds(mats, hub, horizon)
-        self.tiny = mats.shape[1] * SCREEN_TINY
-        # ahead[t, s-1] = t+s, or horizon+1, past the end, where low is inf
-        self.ahead = np.minimum(np.add.outer(np.arange(horizon + 1), np.arange(1, horizon + 1)), horizon + 1)
-        self._cut()
-
-    def raise_low(self, peaks: list) -> None:
-        """Raise low to the running peaks in place (the scan holds low), and
-        renew cut if one passed it."""
-        if (peaks > self.low).any():
-            np.maximum(peaks, self.low, out=self.low)
-            self._cut()
-
-    def _cut(self) -> None:
-        # A product is pruned when hi(P) < min over s of (low[t+s] - floor[s])
-        # / grow[s]; thr is that minimum over 1 + SCREEN_MARGIN, so the test
-        # reads the computed ||P||_F.  No hi is below d * SCREEN_TINY, so a
-        # smaller thr cuts nothing.
-        ahead = np.append(self.low, np.inf).take(self.ahead)
-        thr = ((ahead - self.floor[1:]) / self.grow[1:]).min(axis=1) / (1.0 + SCREEN_MARGIN)
-        self.cut = np.where(thr > self.tiny, thr, -np.inf)
+def _cut(low: np.ndarray, grow: np.ndarray, floor: np.ndarray, tiny: float) -> np.ndarray:
+    """cut[t]: a product of t steps whose computed Frobenius norm is below
+    it gets no children (see `_scan`).  The product is pruned when hi(P) <
+    min over s of (low[t+s] - floor[s]) / grow[s]; cut is that minimum over
+    1 + SCREEN_MARGIN.  No hi is below tiny = d * SCREEN_TINY, so a smaller
+    cut cuts nothing and reads -inf."""
+    horizon = len(low) - 1
+    # ahead[t, s-1] = low[t+s], inf past the horizon
+    ahead = np.append(low, np.full(horizon, np.inf))[np.add.outer(np.arange(horizon + 1), np.arange(1, horizon + 1))]
+    thr = ((ahead - floor[1:]) / grow[1:]).min(axis=1) / (1.0 + SCREEN_MARGIN)
+    return np.where(thr > tiny, thr, -np.inf)
 
 
 def _growth(mats: np.ndarray, succ: np.ndarray, valid: np.ndarray, horizon: int):

@@ -179,8 +179,8 @@ def verify_ges(norms, c: float, rate: float) -> GesCheck:
     The comparison is non-strict; worst_margin is the smallest envelope
     slack and worst_t where it occurs.
     """
-    if not c > 0.0 or not rate > 0.0:
-        raise ValueError("envelope constant and rate must be positive")
+    if not 0.0 < c < math.inf or not rate > 0.0:  # an inf c holds everywhere
+        raise ValueError("envelope constant must be positive and finite, and rate positive")
     norms = np.asarray(norms, dtype=float)
     if norms.size < 2:
         raise ValueError("need at least one step beyond t=0")

@@ -204,9 +204,10 @@ def test_a_negative_horizon_is_refused(diag_family, diag_comb):
 
 def test_bound_check_refuses_a_nonpositive_constant(diag_family, diag_comb):
     # c = 0 divided by zero, or hit a math domain error past exp range; c =
-    # -1 gave a negative max_ratio, which reads as PASS.
+    # -1 gave a negative max_ratio, which reads as PASS; c = inf gave a
+    # max_ratio of 0, a PASS that checked nothing.
     profile = envelope_profile(diag_family, diag_comb, horizon=4)
-    for c in (0.0, -1.0):
+    for c in (0.0, -1.0, math.inf):
         for rate in (0.3, 400.0):
             with pytest.raises(ValueError, match="envelope constant must be positive"):
                 profile.bound_check(rate, c)
@@ -433,6 +434,59 @@ def test_pruning_starts_only_past_a_slice(diag_family, diag_comb, monkeypatch):
     assert exhaustive_bound_check(diag_family, diag_comb, 0.1, 1.0, 12).products_checked == 380
 
 
+_DIAG = MatrixFamily((np.diag([1.2, 0.4]), np.diag([0.4, 1.2])))
+
+
+@pytest.mark.parametrize(
+    "family, horizon, slice_size, raises",
+    [
+        (_DIAG, 12, swstab.oracle.SLICE, 0),
+        (_DIAG, 20, swstab.oracle.SLICE, 0),
+        (_DIAG, 12, 7, 0),
+        (generate_random_instance(3, 2, 1000), 11, 7, 3),
+    ],
+    ids=["diag-h12", "diag-h20", "diag-h12-slice7", "1000-h11-slice7"],
+)
+def test_only_a_pruning_scan_prepares_its_test(family, horizon, slice_size, raises, monkeypatch):
+    # A scan whose levels each fit in one slice prepares nothing.  One that
+    # prunes runs `_growth` and `_seeds` once and `_cut` once, then once
+    # more, with the raised low, right after each flush that raises low
+    # (on the diagonal pair `_seeds` already finds the peaks); the last
+    # flush ends the scan, and nothing reads low after it.
+    monkeypatch.setattr(swstab.oracle, "SLICE", slice_size)
+    log = []  # (step, what it saw), in call order
+
+    def spy(step, seen):
+        original = getattr(swstab.oracle, step)
+
+        def call(*args):
+            out = original(*args)
+            log.append((step, seen(out, args)))
+            return out
+
+        monkeypatch.setattr(swstab.oracle, step, call)
+
+    spy("_growth", lambda out, args: None)
+    spy("_seeds", lambda out, args: out.tolist())  # the first low
+    spy("_cut", lambda out, args: args[0].tolist())  # the low it reads
+    spy("_flush", lambda out, args: list(args[3]))  # the peaks it leaves
+    profile = envelope_profile(family, find_stable_combination(family), horizon)
+    steps = [step for step, _ in log]
+    if max(profile.counts) <= slice_size:
+        assert steps == ["_flush"]
+        return
+    assert steps[:3] == ["_growth", "_seeds", "_cut"] and steps.count("_growth") == steps.count("_seeds") == 1
+    low = log[1][1]
+    want = [low]
+    for k, (step, peaks) in enumerate(log[3:-1], start=3):
+        if step == "_flush" and any(p > q for p, q in zip(peaks, low)):
+            low = [max(p, q) for p, q in zip(peaks, low)]
+            want.append(low)
+            assert log[k + 1][0] == "_cut"
+    assert [cut for step, cut in log if step == "_cut"] == want
+    assert len(want) == 1 + raises
+
+
 @pytest.mark.parametrize("horizon, products, multiplied, normed", [(20, 5_556, 218, 93), (38, 2_236_045, 578, 216)])
 def test_pruning_work_stays_within_its_recorded_figures(
     diag_family, diag_comb, monkeypatch, horizon, products, multiplied, normed
@@ -637,9 +691,10 @@ def test_envelope_constant_requires_positive_rate(diag_family, diag_comb):
         lambda fam, comb: envelope_profile(fam, comb, 4).bound_check(0.3, c=math.nan),
         lambda fam, comb: verify_ges([1.0, 0.5], c=math.nan, rate=0.3),
         lambda fam, comb: verify_ges([1.0, 0.5], c=2.0, rate=math.nan),
+        lambda fam, comb: verify_ges([1, 5, 9], c=math.inf, rate=0.1),
     ],
     ids=["certificate", "constant", "constant-bound", "bound-check-rate", "bound-check-c",
-         "ges-c", "ges-rate"],
+         "ges-c", "ges-rate", "ges-c-inf"],
 )
 def test_nan_rates_and_constants_are_refused(diag_family, diag_comb, call):
     with pytest.raises(ValueError):

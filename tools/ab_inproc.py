@@ -2,6 +2,7 @@
 """Compare the envelope scans, schedule stage and ensemble search of two checkouts in one process.
 
     python3 tools/ab_inproc.py PARENT CHANGE [--rounds 41]
+    python3 tools/ab_inproc.py --sweep PARENT CHANGE
 
 Copies ``src/swstab`` of the checkouts PARENT and CHANGE into a temporary
 directory as the packages ``swstab_parent`` and ``swstab_change`` and
@@ -63,6 +64,23 @@ rounds CHANGE was faster.  The process pins itself to one CPU and runs
 BLAS on one thread, as the benchmark does.  Host speed drifts move both
 sides of a round alike, which makes the ratio steadier than a comparison
 of separate runs.
+
+With ``--sweep`` it times nothing and runs the envelope scan's equality
+sweep instead: ``envelope_profile``, with a cap of SWEEP_CAP products, on
+
+- the diagonal pair at horizons 0..30;
+- each population instance ``generate_random_instance(N, d, seed)`` with
+  a combination, at seeds 1000-1059 for (N, d) = (2, 2) and (3, 2) and
+  1000-1029 for (2, 3) and (3, 3), at basis + 4 and basis + 8 steps;
+- the pairs diag(b, e), diag(e, b) with b in 1.5, 2, 1e10 and e in
+  1e-30, 1e-90, 1e-150, 1e-300, at basis + 4, basis + 8 and 14 steps,
+  where products underflow;
+
+each with ``oracle.SLICE`` patched to 1,024 and 7 on both sides, and to 1
+up to horizon SWEEP_SLICE1_HORIZON.  A case's outcome is the profile's
+peaks, walks and counts, or the exception's type and message.  It prints
+the number of cases and every case whose outcomes differ, and exits 1 if
+any does.
 """
 
 from __future__ import annotations
@@ -93,6 +111,8 @@ SIZING_CALLS = 7  # timed passes whose median sizes a row's repetitions
 SCHEDULE_HORIZON = 400  # steps of the schedule rows' trajectories and products
 SCHEDULE_STATES = 20  # initial states per family of the simulate rows
 SHORT_WALKS, SHORT_STEPS = 160, 20
+SWEEP_CAP = 300_000  # products per scan of the equality sweep
+SWEEP_SLICE1_HORIZON = 14  # the deepest sweep case also run with slices of 1
 
 
 def load_sides(parent: Path, change: Path, tmp: Path) -> dict:
@@ -241,6 +261,65 @@ def ensemble_rows(sw, cycle) -> dict:
     return rows
 
 
+def sweep_cases(sw) -> list[tuple[str, tuple, int]]:
+    """(label, subsystem matrices, horizon) of every family and horizon of
+    the equality sweep, built by package `sw`."""
+    import numpy as np
+
+    cases = [(f"diag h={h}", (np.diag([1.2, 0.4]), np.diag([0.4, 1.2])), h) for h in range(31)]
+    populations = [(2, 2, 60), (3, 2, 60), (2, 3, 30), (3, 3, 30)]
+    families = [
+        (f"N={n} d={d} #{seed}", sw.generate_random_instance(n, d, seed).subsystems, (4, 8))
+        for n, d, seeds in populations
+        for seed in range(1000, 1000 + seeds)
+    ]
+    families += [
+        (f"diag({b:g}, {e:g})", (np.diag([b, e]), np.diag([e, b])), (4, 8, None))
+        for b in (1.5, 2.0, 1e10)
+        for e in (1e-30, 1e-90, 1e-150, 1e-300)
+    ]
+    for label, mats, extras in families:
+        family = sw.MatrixFamily(mats)
+        comb = sw.find_stable_combination(family)
+        if comb is not None:
+            basis = sw.basis_length(family, comb)
+            cases += [(f"{label} h={h}", mats, h) for h in (14 if x is None else basis + x for x in extras)]
+    return cases
+
+
+def sweep_outcome(sw, family, comb, horizon: int, slice_size: int):
+    """A scan's peaks, walks and counts with `slice_size` as the slice, or
+    the type and message of the exception it raised."""
+    from unittest import mock
+
+    with mock.patch.object(sw.oracle, "SLICE", slice_size):
+        try:
+            return profile_key(sw.envelope_profile(family, comb, horizon, SWEEP_CAP))
+        except (RuntimeError, ValueError) as exc:  # the cap, and products past double range
+            return type(exc).__name__, str(exc)
+
+
+def sweep(packages) -> int:
+    """Run the equality sweep on both sides; 1 if any outcome differs."""
+    cases = [
+        (label, mats, h, size)
+        for label, mats, h in sweep_cases(packages["change"])
+        for size in (1024, 7, 1)
+        if size > 1 or h <= SWEEP_SLICE1_HORIZON
+    ]
+    outcomes = {}
+    for side, sw in packages.items():
+        calls = bind(sw, [(mats, h) for _, mats, h, _ in cases])
+        outcomes[side] = [sweep_outcome(sw, *call, size) for call, (*_, size) in zip(calls, cases)]
+    differ = 0
+    for (label, _, _, size), parent, change in zip(cases, outcomes["parent"], outcomes["change"]):
+        if parent != change:
+            differ += 1
+            print(f"{label} SLICE={size}: parent {parent!r:.300} change {change!r:.300}")
+    print(f"{len(cases)} cases, {differ} differ")
+    return 1 if differ else 0
+
+
 def run(thunks, reps: int) -> list[float]:
     """Seconds of each of `reps` passes over a row's calls, run one after
     another after one garbage collection."""
@@ -259,10 +338,13 @@ def main(argv=None) -> int:
     p.add_argument("parent", type=Path)
     p.add_argument("change", type=Path)
     p.add_argument("--rounds", type=int, default=41)
+    p.add_argument("--sweep", action="store_true", help="run the equality sweep, not the timed rows")
     args = p.parse_args(argv)
     os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
     with tempfile.TemporaryDirectory() as tmp:
         packages = load_sides(args.parent.resolve(), args.change.resolve(), Path(tmp))
+        if args.sweep:
+            return sweep(packages)
         sys.path[:0] = [str(HERE / "perfbench"), str(HERE / "src")]
         oracle = oracle_calls()
         diag = oracle[0][0]  # the cycle's first instance is the diagonal pair
