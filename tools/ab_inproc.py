@@ -100,6 +100,7 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 HERE = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
@@ -290,8 +291,6 @@ def sweep_cases(sw) -> list[tuple[str, tuple, int]]:
 def sweep_outcome(sw, family, comb, horizon: int, slice_size: int):
     """A scan's peaks, walks and counts with `slice_size` as the slice, or
     the type and message of the exception it raised."""
-    from unittest import mock
-
     with mock.patch.object(sw.oracle, "SLICE", slice_size):
         try:
             return profile_key(sw.envelope_profile(family, comb, horizon, SWEEP_CAP))
