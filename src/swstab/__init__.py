@@ -41,9 +41,7 @@ from .instances import (
 from .linalg import (
     SCHUR_MARGIN,
     NonFiniteMatrixError,
-    commutator,
     is_schur_stable,
-    mat_power,
     operator_norm,
     spectral_radius,
 )

@@ -83,21 +83,6 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
     return v
 
 
-def mat_power(a, k: int) -> np.ndarray:
-    """A**k by iterated left-multiplication; A**0 is the identity.
-
-    Iterated multiplication (not repeated squaring) so the floating-point
-    result matches a step-by-step simulation of the same product exactly.
-    """
-    a = as_matrix(a)
-    if not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-    p = np.eye(a.shape[0])
-    for _ in range(k):
-        p = a @ p
-    return p
-
-
 def batch_rows(dim: int) -> int:
     """Matrices of side `dim` that fit in one stack of BATCH_ENTRIES entries."""
     return max(1, BATCH_ENTRIES // (dim * dim))
@@ -266,11 +251,3 @@ def least_squares_line(x, y) -> tuple[float, float]:
         warnings.warn("the line fit may be poorly conditioned", np.exceptions.RankWarning, stacklevel=2)
     slope, intercept = (c[:, 0] / scale).tolist()
     return slope, intercept
-
-
-def commutator(a, b) -> np.ndarray:
-    """AB - BA."""
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a

@@ -35,7 +35,7 @@ import numpy as np
 from .certificate import _LOG_DBL_MAX, RATE_SAFETY, _exp_or_inf
 from .family import MatrixFamily
 from .graph import build_graph, walk_to_signal
-from .linalg import NonFiniteMatrixError, commutator, mat_power, operator_norm, operator_norms
+from .linalg import NonFiniteMatrixError, operator_norm, operator_norms
 from .search import StableCombination
 
 DEFAULT_ENUM_CAP = 10_000_000
@@ -70,7 +70,6 @@ class ProductDecomposition:
     correction: np.ndarray
     term_count: int
     residual: float
-    starts_stable: bool
 
 
 @dataclass(frozen=True)
@@ -86,13 +85,14 @@ class BoundCheck:
 def exchange_identity_residual(family: MatrixFamily, comb) -> float:
     """Numerical residual of A_l C = C A_l + [A_l, C] over the family.
 
-    Algebraically zero for any square C; the measured value only reflects
-    floating-point rounding and should sit at the 1e-12 * scale level.
+    The largest ||x - (y + (x - y))|| with x = A_l C and y = C A_l:
+    zero in exact arithmetic for any square C, so the measured value only
+    reflects floating-point rounding and should sit at the 1e-12 * scale
+    level.  It says nothing about whether the subsystems commute with C.
     """
     c = comb.product if isinstance(comb, StableCombination) else np.asarray(comb, float)
-    mats = family.stack
-    comms = mats @ c - c @ mats
-    return float(operator_norms(mats @ c - (c @ mats + comms)).max())
+    x, y = family.stack @ c, c @ family.stack
+    return float(operator_norms(x - (y + (x - y))).max())
 
 
 @dataclass(frozen=True)
@@ -650,20 +650,8 @@ def decompose_product(
     if n_blocks < m:
         raise ValueError(f"segment holds {n_blocks} combination blocks, needs at least {m}")
 
-    comb_matrix = np.asarray(comb.product, dtype=float)
     # A word lists vertex ids in product order, the latest time step
     # first: l is A_l, the hub is C, and -l the commutator [A_l, C].
-    factors = {hub: comb_matrix}
-    for ell in range(1, family.size + 1):
-        factors[ell] = family.matrix(ell)
-        factors[-ell] = commutator(factors[ell], comb_matrix)
-
-    def product(word) -> np.ndarray:
-        p = np.eye(family.dim)
-        for v in reversed(word):
-            p = factors[v] @ p
-        return p
-
     word = walk[::-1]
     main = list(word)
     terms: list[list[int]] = []
@@ -678,11 +666,22 @@ def decompose_product(
             main[idx], main[idx + 1] = nxt, main[idx]
             idx += 1
 
+    n, mats, c = family.size, family.stack, comb.product
     # operator_norm refuses a product past double range; no warning precedes that
     with np.errstate(over="ignore", invalid="ignore"):
+        comms = mats @ c - c @ mats
+        factors = {hub: c}
+        for ell in range(1, n + 1):
+            factors[ell], factors[-ell] = mats[ell - 1], comms[ell - 1]
+
+        def product(word) -> np.ndarray:
+            p = np.eye(family.dim)
+            for v in reversed(word):
+                p = factors[v] @ p
+            return p
+
         total = product(word)
-        left = product(main[: len(main) - m])
-        main_term = left @ mat_power(comb_matrix, m)
+        main_term = product(main[: len(main) - m]) @ product([hub] * m)
         correction = np.zeros((family.dim, family.dim))
         for term in terms:
             correction -= product(term)
@@ -693,5 +692,4 @@ def decompose_product(
         correction=correction,
         term_count=len(terms),
         residual=residual,
-        starts_stable=bool(walk and walk[0] == hub),
     )

@@ -129,8 +129,8 @@ def find_stable_combination(
         raise ValueError("exponent bounds must be at least 1")
     n, d = family.size, family.dim
     mats = family.stack
-    # powers[k][l] = A_{l+1}^k by iterated left-multiplication, as
-    # mat_power computes it; `table` stacks them, indexed [k, l]
+    # powers[k][l] = A_{l+1}^k by iterated left-multiplication from I:
+    # powers[k] = mats @ powers[k - 1]; `table` stacks them, indexed [k, l]
     powers = [np.eye(d)[None].repeat(n, axis=0)]
     # A power or product past double range holds inf or nan entries, which
     # is_schur_stable and operator_norm refuse; such a candidate is skipped.

@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from swstab import (
-    SCHUR_MARGIN,
-    commutator,
-    is_schur_stable,
-    mat_power,
-    operator_norm,
-    spectral_radius,
-)
+from swstab import SCHUR_MARGIN, is_schur_stable, operator_norm, spectral_radius
 from swstab import linalg
 from swstab.linalg import NonFiniteMatrixError, operator_norms, schur_stable, spectral_radii
 
@@ -23,26 +16,6 @@ small_matrices = arrays(
     (3, 3),
     elements=st.floats(-10.0, 10.0, allow_nan=False, allow_infinity=False),
 )
-
-
-def test_mat_power_zero_is_identity():
-    a = np.array([[2.0, 1.0], [0.0, 2.0]])
-    assert np.array_equal(mat_power(a, 0), np.eye(2))
-
-
-def test_mat_power_matches_stepwise_multiplication():
-    a = np.array([[0.9, 0.7], [-0.3, 1.1]])
-    p = np.eye(2)
-    for k in range(1, 8):
-        p = a @ p
-        assert np.array_equal(mat_power(a, k), p)
-
-
-def test_mat_power_rejects_negative_and_non_integer():
-    with pytest.raises(ValueError):
-        mat_power(np.eye(2), -1)
-    with pytest.raises(ValueError):
-        mat_power(np.eye(2), 1.5)
 
 
 def test_spectral_radius_diagonal():
@@ -79,14 +52,6 @@ def test_operator_norm_known_values():
     assert operator_norm(a) == pytest.approx(np.linalg.norm(a), abs=1e-12)
 
 
-def test_commutator_antisymmetric_and_traceless():
-    a = np.array([[1.0, 2.0], [0.0, 3.0]])
-    b = np.array([[0.0, 1.0], [1.0, 0.0]])
-    e = commutator(a, b)
-    assert np.array_equal(e, -(commutator(b, a)))
-    assert np.trace(e) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_validation_rejects_non_finite():
     with pytest.raises(ValueError):
         spectral_radius(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -102,10 +67,8 @@ def test_validation_rejects_non_finite():
         (lambda: linalg.as_matrix(np.ones((0, 0))), r"square matrix, got shape \(0, 0\)"),
         (lambda: linalg.as_vector([]), "at least one entry"),
         (lambda: linalg.as_vector([1.0, 2.0], dim=3), "dim 3, got 2"),
-        (lambda: commutator(np.eye(2), np.eye(3)), "dimension mismatch"),
     ],
-    ids=["matrix-not-square", "matrix-1d", "matrix-empty", "vector-empty", "vector-wrong-dim",
-         "commutator-shapes"],
+    ids=["matrix-not-square", "matrix-1d", "matrix-empty", "vector-empty", "vector-wrong-dim"],
 )
 def test_shape_errors_name_the_shape(call, match):
     with pytest.raises(ValueError, match=match):

@@ -789,7 +789,6 @@ def test_decomposition_commuting_family(diag_family, diag_comb):
     # commutator factor
     assert operator_norm(dec.correction) == 0.0
     assert dec.term_count <= 2 * 1 * 2 // 2
-    assert not dec.starts_stable
     assert np.allclose(dec.main_term + dec.correction, dec.total)
 
 
@@ -802,7 +801,6 @@ def test_decomposition_noncommuting_family(shear_family, shear_comb):
         assert dec.term_count <= count_bound
         assert operator_norm(dec.correction) <= norm_bound + 1e-9
         assert np.allclose(dec.main_term + dec.correction, dec.total, atol=1e-10)
-    assert decompose_product(shear_family, shear_comb, [3, 3, 3, 1, 2, 1, 2, 1, 2]).starts_stable
 
 
 def test_correction_bounds_past_double_range():

@@ -3,10 +3,12 @@
 `generate_random_instance`, `find_stable_combination` and
 `compute_constants` classify and measure whole stacks of matrices with
 one `eigvals` or `svd` call (instance draws come eight families at a
-time).  The copies below are those functions as they were with one call
-per matrix: one draw at a time, one candidate at a time with lazily
-cached powers, one norm at a time.  Every output must be the same, bit
-for bit.
+time), and `decompose_product` takes its commutators from one stacked
+product.  The copies below are those functions as they were with one
+call per matrix: one draw at a time, one candidate at a time with lazily
+cached powers, one norm at a time, one commutator at a time and
+combination^m by iterated multiplication.  Every output must be the
+same, bit for bit.
 """
 
 import math
@@ -22,7 +24,9 @@ from swstab import (
     CertificateInputs,
     MatrixFamily,
     StableCombination,
+    basis_length,
     compute_constants,
+    decompose_product,
     find_stable_combination,
     generate_random_instance,
 )
@@ -122,6 +126,71 @@ def reference_constants(family, comb):
     )
 
 
+def reference_decompose(family, comb, walk):
+    """(total, main_term, correction, term count, residual) of a valid
+    basis segment, its bytes and the residual's hex, as `decompose_product`
+    gave them with one commutator per subsystem."""
+    hub, m, c = family.size + 1, comb.contraction_power, comb.product
+    factors = {hub: c}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ell, a in enumerate(family.subsystems, start=1):
+            factors[ell], factors[-ell] = a, a @ c - c @ a
+
+    def product(word):
+        p = np.eye(family.dim)
+        for v in reversed(word):
+            p = factors[v] @ p
+        return p
+
+    word = walk[::-1]
+    main, terms = list(word), []
+    for settled in range(m):
+        boundary = len(main) - settled
+        idx = max(i for i in range(boundary) if main[i] == hub)
+        while idx < boundary - 1:
+            nxt = main[idx + 1]
+            if nxt != hub:
+                terms.append(main[:idx] + [-nxt] + main[idx + 2 :])
+            main[idx], main[idx + 1] = nxt, main[idx]
+            idx += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = product(word)
+        main_term = product(main[: len(main) - m]) @ _power(c, m)
+        correction = np.zeros((family.dim, family.dim))
+        for term in terms:
+            correction -= product(term)
+        residual = _norm(total - (main_term + correction))
+    return total.tobytes(), main_term.tobytes(), correction.tobytes(), len(terms), residual.hex()
+
+
+def _decomposition_key(family, comb, walk):
+    dec = decompose_product(family, comb, walk)
+    return (dec.total.tobytes(), dec.main_term.tobytes(), dec.correction.tobytes(), dec.term_count,
+            dec.residual.hex())
+
+
+def _basis_segments(family, comb, rng, count=3):
+    """The canonical segment (1..N, hub)^m, then `count` random walks of the
+    basis length holding at least m combination blocks."""
+    n, block, m = family.size, comb.block_duration, comb.contraction_power
+    hub, basis = n + 1, basis_length(family, comb)
+    segments = [(list(range(1, hub)) + [hub]) * m]
+    while len(segments) <= count:
+        seg, left = [], basis
+        while left:
+            v = int(rng.integers(1, hub + 1 if block <= left else hub))
+            seg.append(v)
+            left -= block if v == hub else 1
+        if seg.count(hub) >= m:
+            segments.append(seg)
+    return segments
+
+
+def _assert_same_decompositions(family, comb, rng):
+    for seg in _basis_segments(family, comb, rng):
+        assert _outcome(_decomposition_key, family, comb, seg) == _outcome(reference_decompose, family, comb, seg)
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
@@ -211,7 +280,7 @@ def _diag_family(*diagonals):
     return MatrixFamily(tuple(np.diag(d) for d in diagonals))
 
 
-@pytest.mark.parametrize(
+fixed_families = pytest.mark.parametrize(
     "family, bounds",
     [
         # the hopeless pair: every candidate is unstable
@@ -245,7 +314,37 @@ def _diag_family(*diagonals):
         "shear-pair",
     ],
 )
+
+
+@fixed_families
 def test_fixed_family_equals_the_per_matrix_pipeline(family, bounds):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         _assert_same_pipeline(family, **bounds)
+
+
+@fixed_families
+def test_fixed_family_decomposes_as_the_per_matrix_copy(family, bounds):
+    comb = find_stable_combination(family, **bounds)
+    if comb is not None:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _assert_same_decompositions(family, comb, np.random.Generator(np.random.PCG64(7)))
+
+
+@pytest.mark.parametrize("n, dim", [(2, 2), (3, 2), (10, 2), (3, 3), (3, 4)])
+def test_population_decomposes_as_the_per_matrix_copy(n, dim):
+    # the canonical segment and three random basis segments of each family
+    # with a combination, every field compared in its bytes; m <= 10 keeps
+    # the N*m*(m+1)/2 correction words of a segment to a few seconds in all
+    rng = np.random.Generator(np.random.PCG64(100 * n + dim))
+    hits = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(1000, 1100):
+            family = generate_random_instance(n, dim, seed)
+            comb = find_stable_combination(family)
+            if comb is not None and comb.contraction_power <= 10:
+                _assert_same_decompositions(family, comb, rng)
+                hits += 1
+    assert hits

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Compare the envelope scans, schedule stage and ensemble search of two checkouts in one process.
+"""Compare the envelope scans, decompositions, schedule stage and ensemble search of two checkouts in one process.
 
     python3 tools/ab_inproc.py PARENT CHANGE [--rounds 41]
     python3 tools/ab_inproc.py --sweep PARENT CHANGE
@@ -23,6 +23,12 @@ are ``envelope_profile`` calls:
 - ``1088 h=13`` and ``1088 h=15``: population instance 1088 (N = 3,
   d = 2) at 3,907 products, just past the count at which the scan
   prunes, and at its deep horizon in the ``oracle`` cycle.
+
+The ``decompose`` row runs ``decompose_product`` on each instance of
+that ``oracle`` cycle, at the canonical segment (1..N, hub)^m that
+``swstab verify`` decomposes and at DECOMPOSE_SEGMENTS random segments
+of the basis length drawn as acceptance criterion 4 draws them (each
+vertex uniform among those that fit, at least m combination blocks).
 
 The schedule rows run the stage on the diagonal pair (d = 2) and on the
 ``schedule`` workload's d = 4 family at seed 0 (the first N = 3, d = 4
@@ -51,7 +57,8 @@ The ensemble rows take the instances of one cycle of the benchmark's
 
 Each side builds its own families, combinations and signals from the
 same matrices.  Before timing, every call's outcome must be equal on
-both sides: peaks, walks and counts of a scan, the bytes of states and
+both sides: peaks, walks and counts of a scan, the bytes of a
+decomposition's matrices, term count and residual, the bytes of states and
 norms, a fit's bytes, walks and gaps, a combination's indices, powers,
 product bytes and contraction, and a family's bytes.  In each round
 both sides run every row, PARENT first in even rounds and CHANGE first
@@ -77,10 +84,13 @@ sweep instead: ``envelope_profile``, with a cap of SWEEP_CAP products, on
   where products underflow;
 
 each with ``oracle.SLICE`` patched to 1,024 and 7 on both sides, and to 1
-up to horizon SWEEP_SLICE1_HORIZON.  A case's outcome is the profile's
-peaks, walks and counts, or the exception's type and message.  It prints
-the number of cases and every case whose outcomes differ, and exits 1 if
-any does.
+up to horizon SWEEP_SLICE1_HORIZON.  It also runs ``decompose_product`` on
+the diagonal pair and on each of those families with a combination, at
+the canonical segment and DECOMPOSE_SEGMENTS random basis segments.  A
+case's outcome is the profile's peaks, walks and counts, or the
+decomposition's bytes, or the exception's type and message.  It prints
+the number of cases of each kind and every case whose outcomes differ,
+and exits 1 if any does.
 """
 
 from __future__ import annotations
@@ -114,6 +124,8 @@ SCHEDULE_STATES = 20  # initial states per family of the simulate rows
 SHORT_WALKS, SHORT_STEPS = 160, 20
 SWEEP_CAP = 300_000  # products per scan of the equality sweep
 SWEEP_SLICE1_HORIZON = 14  # the deepest sweep case also run with slices of 1
+DECOMPOSE_SEGMENTS = 3  # random basis segments per family, after the canonical one
+DECOMPOSE_SEED = 20260823  # the random segments' PCG64 seed, criterion 4's
 
 
 def load_sides(parent: Path, change: Path, tmp: Path) -> dict:
@@ -127,15 +139,21 @@ def load_sides(parent: Path, change: Path, tmp: Path) -> dict:
     return packages
 
 
-def oracle_calls() -> list[tuple[tuple, int]]:
-    """(subsystem matrices, horizon) of every scan in one oracle cycle at seed 0."""
-    import counts
+def oracle_instances() -> list:
+    """(family, combination) of every instance in one oracle cycle at seed 0."""
     import workloads
     from tracer import NullTracer
 
     diag = workloads.diagonal_pair()
     instances = [(diag, workloads.sw.find_stable_combination(diag))]
-    instances += [(family, comb) for _, family, comb, _ in workloads.certified_small(0, NullTracer())]
+    return instances + [(family, comb) for _, family, comb, _ in workloads.certified_small(0, NullTracer())]
+
+
+def oracle_calls(instances) -> list[tuple[tuple, int]]:
+    """(subsystem matrices, horizon) of every scan of the oracle cycle's instances."""
+    import counts
+    import workloads
+
     calls = []
     for family, comb in instances:
         basis = workloads.sw.basis_length(family, comb)
@@ -177,6 +195,41 @@ def profile_key(prof):
 def envelope_row(sw, calls) -> list:
     """The `envelope_profile` calls of a row as thunks of package `sw`."""
     return [functools.partial(sw.envelope_profile, *call) for call in bind(sw, calls)]
+
+
+def basis_segments(sw, family, comb, rng) -> list[list[int]]:
+    """The canonical segment (1..N, hub)^m, then DECOMPOSE_SEGMENTS random
+    walks of the basis length with at least m combination blocks."""
+    hub, block, m = family.size + 1, comb.block_duration, comb.contraction_power
+    segments = [(list(range(1, hub)) + [hub]) * m]
+    while len(segments) <= DECOMPOSE_SEGMENTS:
+        seg, left = [], sw.basis_length(family, comb)
+        while left:
+            v = int(rng.integers(1, hub + 1 if block <= left else hub))
+            seg.append(v)
+            left -= block if v == hub else 1
+        if seg.count(hub) >= m:
+            segments.append(seg)
+    return segments
+
+
+def decompose_calls(sw, families) -> list[tuple[str, tuple, list[int]]]:
+    """(label, subsystem matrices, segment) of the basis segments of each
+    (label, matrices) family with a combination, built by package `sw`."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.PCG64(DECOMPOSE_SEED))
+    calls = []
+    for label, mats in families:
+        family = sw.MatrixFamily(tuple(mats))
+        comb = sw.find_stable_combination(family)
+        if comb is not None:
+            calls += [(label, mats, seg) for seg in basis_segments(sw, family, comb, rng)]
+    return calls
+
+
+def decomposition_key(dec):
+    return dec.total.tobytes(), dec.main_term.tobytes(), dec.correction.tobytes(), dec.term_count, dec.residual.hex()
 
 
 def d4_family(sw) -> tuple:
@@ -262,12 +315,12 @@ def ensemble_rows(sw, cycle) -> dict:
     return rows
 
 
-def sweep_cases(sw) -> list[tuple[str, tuple, int]]:
-    """(label, subsystem matrices, horizon) of every family and horizon of
-    the equality sweep, built by package `sw`."""
+def sweep_families(sw) -> list[tuple[str, tuple, tuple]]:
+    """(label, subsystem matrices, extra steps past the basis) of the
+    equality sweep's population and underflow families; an extra step of
+    None stands for horizon 14."""
     import numpy as np
 
-    cases = [(f"diag h={h}", (np.diag([1.2, 0.4]), np.diag([0.4, 1.2])), h) for h in range(31)]
     populations = [(2, 2, 60), (3, 2, 60), (2, 3, 30), (3, 3, 30)]
     families = [
         (f"N={n} d={d} #{seed}", sw.generate_random_instance(n, d, seed).subsystems, (4, 8))
@@ -279,6 +332,15 @@ def sweep_cases(sw) -> list[tuple[str, tuple, int]]:
         for b in (1.5, 2.0, 1e10)
         for e in (1e-30, 1e-90, 1e-150, 1e-300)
     ]
+    return families
+
+
+def sweep_cases(sw, families) -> list[tuple[str, tuple, int]]:
+    """(label, subsystem matrices, horizon) of every scan of the equality
+    sweep: the diagonal pair at 0..30, and `families` at their horizons."""
+    import numpy as np
+
+    cases = [(f"diag h={h}", (np.diag([1.2, 0.4]), np.diag([0.4, 1.2])), h) for h in range(31)]
     for label, mats, extras in families:
         family = sw.MatrixFamily(mats)
         comb = sw.find_stable_combination(family)
@@ -298,24 +360,41 @@ def sweep_outcome(sw, family, comb, horizon: int, slice_size: int):
             return type(exc).__name__, str(exc)
 
 
+def decompose_outcome(sw, family, comb, segment):
+    """A decomposition's bytes, or the type and message of the exception it raised."""
+    try:
+        return decomposition_key(sw.decompose_product(family, comb, segment))
+    except (RuntimeError, ValueError) as exc:  # products past double range
+        return type(exc).__name__, str(exc)
+
+
 def sweep(packages) -> int:
     """Run the equality sweep on both sides; 1 if any outcome differs."""
+    import numpy as np
+
+    families = sweep_families(packages["change"])
     cases = [
-        (label, mats, h, size)
-        for label, mats, h in sweep_cases(packages["change"])
+        (f"{label} SLICE={size}", mats, h, size)
+        for label, mats, h in sweep_cases(packages["change"], families)
         for size in (1024, 7, 1)
         if size > 1 or h <= SWEEP_SLICE1_HORIZON
     ]
+    diag = ("diag", (np.diag([1.2, 0.4]), np.diag([0.4, 1.2])))
+    decompositions = decompose_calls(packages["change"], [diag] + [(label, mats) for label, mats, _ in families])
     outcomes = {}
     for side, sw in packages.items():
         calls = bind(sw, [(mats, h) for _, mats, h, _ in cases])
         outcomes[side] = [sweep_outcome(sw, *call, size) for call, (*_, size) in zip(calls, cases)]
+        calls = bind(sw, [(mats, seg) for _, mats, seg in decompositions])
+        outcomes[side] += [decompose_outcome(sw, *call) for call in calls]
+    labels = [label for label, *_ in cases]
+    labels += [f"{label} segment {seg}" for label, _, seg in decompositions]
     differ = 0
-    for (label, _, _, size), parent, change in zip(cases, outcomes["parent"], outcomes["change"]):
+    for label, parent, change in zip(labels, outcomes["parent"], outcomes["change"]):
         if parent != change:
             differ += 1
-            print(f"{label} SLICE={size}: parent {parent!r:.300} change {change!r:.300}")
-    print(f"{len(cases)} cases, {differ} differ")
+            print(f"{label:.300}: parent {parent!r:.300} change {change!r:.300}")
+    print(f"{len(cases)} envelope and {len(decompositions)} decomposition cases, {differ} differ")
     return 1 if differ else 0
 
 
@@ -345,7 +424,8 @@ def main(argv=None) -> int:
         if args.sweep:
             return sweep(packages)
         sys.path[:0] = [str(HERE / "perfbench"), str(HERE / "src")]
-        oracle = oracle_calls()
+        instances = oracle_instances()
+        oracle = oracle_calls(instances)
         diag = oracle[0][0]  # the cycle's first instance is the diagonal pair
         n10 = population_n10()
         rows = {"oracle": oracle} | {f"diag h={h}": [(diag, h)] for h in DIAG_HORIZONS}
@@ -359,7 +439,16 @@ def main(argv=None) -> int:
             name: {side: (envelope_row(sw, calls), profile_key) for side, sw in packages.items()}
             for name, calls in rows.items()
         }
+        bound["decompose"] = {}
+        decompose = [
+            (mats, seg)
+            for _, mats, seg in decompose_calls(packages["change"], [("", f.subsystems) for f, _ in instances])
+        ]
         for side, sw in packages.items():
+            bound["decompose"][side] = (
+                [functools.partial(sw.decompose_product, *call) for call in bind(sw, decompose)],
+                decomposition_key,
+            )
             for name, row in (schedule_rows(sw, schedule) | ensemble_rows(sw, cycle)).items():
                 bound.setdefault(name, {})[side] = row
         for name, sides in bound.items():
@@ -376,7 +465,8 @@ def main(argv=None) -> int:
             for name, sides in bound.items():
                 for side in order:
                     times[name][side].append(sum(run(sides[side][0], reps[name])) / reps[name])
-    print(f"{len(oracle)} oracle scans; {args.rounds} rounds, sides alternating; ms per pass")
+    print(f"{len(oracle)} oracle scans, {len(decompose)} decompositions; {args.rounds} rounds, sides alternating;"
+          " ms per pass")
     print(f"{'row':<16} {'reps':>5} {'parent':>9} {'change':>9} {'speed-up':>9} {'q1-q3':>12}  change won")
     for name in bound:
         parent, change = times[name]["parent"], times[name]["change"]
