@@ -666,12 +666,12 @@ def decompose_product(
             main[idx], main[idx + 1] = nxt, main[idx]
             idx += 1
 
-    n, mats, c = family.size, family.stack, comb.product
+    mats, c = family.stack, comb.product
     # operator_norm refuses a product past double range; no warning precedes that
     with np.errstate(over="ignore", invalid="ignore"):
         comms = mats @ c - c @ mats
         factors = {hub: c}
-        for ell in range(1, n + 1):
+        for ell in range(1, hub):
             factors[ell], factors[-ell] = mats[ell - 1], comms[ell - 1]
 
         def product(word) -> np.ndarray:

@@ -127,9 +127,10 @@ def reference_constants(family, comb):
 
 
 def reference_decompose(family, comb, walk):
-    """(total, main_term, correction, term count, residual) of a valid
-    basis segment, its bytes and the residual's hex, as `decompose_product`
-    gave them with one commutator per subsystem."""
+    """The bytes of total, main_term and correction, the term count and the
+    residual's hex for a valid basis segment, as `decompose_product` formed
+    them with one commutator per subsystem and combination^m by iterated
+    multiplication."""
     hub, m, c = family.size + 1, comb.contraction_power, comb.product
     factors = {hub: c}
     with np.errstate(over="ignore", invalid="ignore"):
@@ -172,8 +173,8 @@ def _decomposition_key(family, comb, walk):
 def _basis_segments(family, comb, rng, count=3):
     """The canonical segment (1..N, hub)^m, then `count` random walks of the
     basis length holding at least m combination blocks."""
-    n, block, m = family.size, comb.block_duration, comb.contraction_power
-    hub, basis = n + 1, basis_length(family, comb)
+    hub, block, m = family.size + 1, comb.block_duration, comb.contraction_power
+    basis = basis_length(family, comb)
     segments = [(list(range(1, hub)) + [hub]) * m]
     while len(segments) <= count:
         seg, left = [], basis
