@@ -210,6 +210,16 @@ def walk_for_horizon(
     return walk
 
 
+def _write_csv(path, name: str, values: Sequence, fmt: str) -> None:
+    """The header `t,<name>` and one row `t,value` per value, `fmt` formatting
+    the value, CRLF-terminated as the csv module writes them; one `%`
+    formats the file and one write writes it."""
+    cells = [0] * (2 * len(values))
+    cells[::2], cells[1::2] = range(len(values)), values
+    with open(path, "w", newline="") as f:
+        f.write((f"t,{name}\r\n" + f"%d,{fmt}\r\n" * len(values)) % tuple(cells))
+
+
 @dataclass(frozen=True)
 class SwitchingSignal:
     """A switching schedule: the subsystem index active at each time step."""
@@ -221,13 +231,8 @@ class SwitchingSignal:
         return len(self.steps)
 
     def write_csv(self, path) -> None:
-        """The header `t,sigma` and one row per step, CRLF-terminated as the
-        csv module writes them; one `%` formats the file and one write
-        writes it."""
-        cells = [0] * (2 * len(self.steps))
-        cells[::2], cells[1::2] = range(len(self.steps)), self.steps
-        with open(path, "w", newline="") as f:
-            f.write(("t,sigma\r\n" + "%d,%d\r\n" * len(self.steps)) % tuple(cells))
+        """The header `t,sigma` and one row per step."""
+        _write_csv(path, "sigma", self.steps, "%d")
 
 
 def walk_to_signal(

@@ -636,7 +636,7 @@ def decompose_product(
     the early end of the product with the exchange identity
     C A_l = A_l C - [A_l, C]; every swap past a plain factor freezes one
     correction term (sign -1, one commutator factor, one combination block
-    fewer).  The pieces are then evaluated numerically.
+    fewer), evaluated and subtracted at once: no list of terms is kept.
     """
     graph = build_graph(family.size)
     hub = graph.stable_vertex
@@ -653,19 +653,6 @@ def decompose_product(
     # A word lists vertex ids in product order, the latest time step
     # first: l is A_l, the hub is C, and -l the commutator [A_l, C].
     word = walk[::-1]
-    main = list(word)
-    terms: list[list[int]] = []
-    for settled in range(m):
-        boundary = len(main) - settled  # positions >= boundary hold moved blocks
-        idx = max(i for i in range(boundary) if main[i] == hub)
-        while idx < boundary - 1:
-            nxt = main[idx + 1]
-            if nxt != hub:
-                terms.append(main[:idx] + [-nxt] + main[idx + 2 :])
-            # adjacent combination blocks commute exactly: swap, no term
-            main[idx], main[idx + 1] = nxt, main[idx]
-            idx += 1
-
     mats, c = family.stack, comb.product
     # operator_norm refuses a product past double range; no warning precedes that
     with np.errstate(over="ignore", invalid="ignore"):
@@ -681,15 +668,25 @@ def decompose_product(
             return p
 
         total = product(word)
+        main = list(word)
+        correction, term_count = np.zeros((family.dim, family.dim)), 0
+        for settled in range(m):
+            boundary = len(main) - settled  # positions >= boundary hold moved blocks
+            idx = max(i for i in range(boundary) if main[i] == hub)
+            while idx < boundary - 1:
+                nxt = main[idx + 1]
+                if nxt != hub:
+                    correction -= product(main[:idx] + [-nxt] + main[idx + 2 :])
+                    term_count += 1
+                # adjacent combination blocks commute exactly: swap, no term
+                main[idx], main[idx + 1] = nxt, main[idx]
+                idx += 1
         main_term = product(main[: len(main) - m]) @ product([hub] * m)
-        correction = np.zeros((family.dim, family.dim))
-        for term in terms:
-            correction -= product(term)
         residual = operator_norm(total - (main_term + correction))
     return ProductDecomposition(
         total=total,
         main_term=main_term,
         correction=correction,
-        term_count=len(terms),
+        term_count=term_count,
         residual=residual,
     )

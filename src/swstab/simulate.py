@@ -10,7 +10,7 @@ import numpy as np
 
 from . import linalg
 from .family import MatrixFamily
-from .graph import SwitchingSignal
+from .graph import SwitchingSignal, _write_csv
 from .linalg import as_vector, least_squares_line, operator_norms
 
 # Norms below this underflow guard are dropped before taking logs.
@@ -29,14 +29,8 @@ class Trajectory:
         return self.states.shape[0] - 1
 
     def write_csv(self, path) -> None:
-        """The header `t,norm` and one row per time, CRLF-terminated as the
-        csv module writes them, norms to 17 significant digits; one `%`
-        formats the file and one write writes it."""
-        norms = self.norms.tolist()
-        cells = [0] * (2 * len(norms))
-        cells[::2], cells[1::2] = range(len(norms)), norms
-        with open(path, "w", newline="") as f:
-            f.write(("t,norm\r\n" + "%d,%.17g\r\n" * len(norms)) % tuple(cells))
+        """The header `t,norm` and one row per time, norms to 17 significant digits."""
+        _write_csv(path, "norm", self.norms.tolist(), "%.17g")
 
 
 @dataclass(frozen=True)

@@ -788,17 +788,20 @@ def test_decomposition_commuting_family(diag_family, diag_comb):
     # diagonal matrices commute: every correction term carries a zero
     # commutator factor
     assert operator_norm(dec.correction) == 0.0
-    assert dec.term_count <= 2 * 1 * 2 // 2
+    assert dec.term_count == 2 * 1 * 2 // 2
     assert np.allclose(dec.main_term + dec.correction, dec.total)
 
 
 def test_decomposition_noncommuting_family(shear_family, shear_comb):
     count_bound, norm_bound = correction_bounds(compute_constants(shear_family, shear_comb))
     assert count_bound == 12  # N * m * (m + 1) / 2 with N = 2, m = 3
-    for segment in ([3, 3, 3, 1, 2, 1, 2, 1, 2], [1, 3, 2, 3, 1, 3, 2, 1, 2]):
+    canonical = [1, 2, 3] * 3  # (1..N, hub)^m: the k-th sweep freezes k*N terms
+    for segment in ([3, 3, 3, 1, 2, 1, 2, 1, 2], [1, 3, 2, 3, 1, 3, 2, 1, 2], canonical):
         dec = decompose_product(shear_family, shear_comb, segment)
         assert dec.residual <= 1e-10 * max(1.0, operator_norm(dec.total))
         assert dec.term_count <= count_bound
+        if segment is canonical:
+            assert dec.term_count == count_bound
         assert operator_norm(dec.correction) <= norm_bound + 1e-9
         assert np.allclose(dec.main_term + dec.correction, dec.total, atol=1e-10)
 

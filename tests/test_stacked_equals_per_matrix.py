@@ -26,6 +26,7 @@ from swstab import (
     StableCombination,
     basis_length,
     compute_constants,
+    correction_bounds,
     decompose_product,
     find_stable_combination,
     generate_random_instance,
@@ -188,8 +189,13 @@ def _basis_segments(family, comb, rng, count=3):
 
 
 def _assert_same_decompositions(family, comb, rng):
-    for seg in _basis_segments(family, comb, rng):
-        assert _outcome(_decomposition_key, family, comb, seg) == _outcome(reference_decompose, family, comb, seg)
+    for i, seg in enumerate(_basis_segments(family, comb, rng)):
+        got = _outcome(_decomposition_key, family, comb, seg)
+        assert got == _outcome(reference_decompose, family, comb, seg)
+        if i == 0 and len(got) == 5:
+            # the canonical segment decomposed: its k-th sweep freezes k*N
+            # terms, so the count meets correction_bounds' N*m*(m+1)/2
+            assert got[3] == correction_bounds(compute_constants(family, comb))[0]
 
 
 def _same_bits(a, b):

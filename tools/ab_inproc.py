@@ -89,8 +89,9 @@ the diagonal pair and on each of those families with a combination, at
 the canonical segment and DECOMPOSE_SEGMENTS random basis segments.  A
 case's outcome is the profile's peaks, walks and counts, or the
 decomposition's bytes, or the exception's type and message.  It prints
-the number of cases of each kind and every case whose outcomes differ,
-and exits 1 if any does.
+every case whose outcomes differ, the number of cases of each kind with
+each side's wall time over them (bindings excluded), and exits 1 if any
+case differs.
 """
 
 from __future__ import annotations
@@ -381,12 +382,16 @@ def sweep(packages) -> int:
     ]
     diag = ("diag", (np.diag([1.2, 0.4]), np.diag([0.4, 1.2])))
     decompositions = decompose_calls(packages["change"], [diag] + [(label, mats) for label, mats, _ in families])
-    outcomes = {}
+    outcomes, seconds = {}, {"envelope": {}, "decomposition": {}}
     for side, sw in packages.items():
         calls = bind(sw, [(mats, h) for _, mats, h, _ in cases])
+        start = time.perf_counter()
         outcomes[side] = [sweep_outcome(sw, *call, size) for call, (*_, size) in zip(calls, cases)]
+        seconds["envelope"][side] = time.perf_counter() - start
         calls = bind(sw, [(mats, seg) for _, mats, seg in decompositions])
+        start = time.perf_counter()
         outcomes[side] += [decompose_outcome(sw, *call) for call in calls]
+        seconds["decomposition"][side] = time.perf_counter() - start
     labels = [label for label, *_ in cases]
     labels += [f"{label} segment {seg}" for label, _, seg in decompositions]
     differ = 0
@@ -394,7 +399,10 @@ def sweep(packages) -> int:
         if parent != change:
             differ += 1
             print(f"{label:.300}: parent {parent!r:.300} change {change!r:.300}")
-    print(f"{len(cases)} envelope and {len(decompositions)} decomposition cases, {differ} differ")
+    for kind, count in (("envelope", len(cases)), ("decomposition", len(decompositions))):
+        took = ", ".join(f"{side} {t:.1f} s" for side, t in seconds[kind].items())
+        print(f"{count} {kind} cases ({took})")
+    print(f"{differ} differ")
     return 1 if differ else 0
 
 
