@@ -60,9 +60,10 @@ class EnumerationCapExceeded(RuntimeError):
 class ProductDecomposition:
     """An admissible product split as main_term + correction.
 
-    main_term is (everything left of m combination blocks) times
-    combination^m; correction collects the commutator exchange terms that
-    moving those blocks to the early end of the product generated.
+    main_term is (the steps left in place) times combination^m, where
+    the m earliest combination blocks have moved to the early end of the
+    product; correction is minus the sum of the term_count exchange terms
+    that move leaves, one per plain step that each block passes.
     """
 
     total: np.ndarray
@@ -632,11 +633,14 @@ def decompose_product(
     """Rewrite the product of a basis-length segment around combination^m.
 
     The segment must expand to exactly m*(block + N) time steps and contain
-    at least m combination blocks.  The m earliest blocks are commuted to
-    the early end of the product with the exchange identity
-    C A_l = A_l C - [A_l, C]; every swap past a plain factor freezes one
-    correction term (sign -1, one commutator factor, one combination block
-    fewer), evaluated and subtracted at once: no list of terms is kept.
+    at least m combination blocks.  The exchange identity
+    C A_l = A_l C - [A_l, C] moves the m earliest blocks, earliest first,
+    to the early end of the product.  With k blocks moved, a block with j
+    plain steps before it leaves j terms, for i = j-1 down to 0: minus
+    the time-ordered product of C^k, rest[:i], [A_l, C] for rest[i] = l,
+    and rest[i+1:], where `rest` holds the steps still in place, that
+    block removed.  term_count is the sum of the j's; each term is
+    subtracted as it is formed, and no list of terms is kept.
     """
     graph = build_graph(family.size)
     hub = graph.stable_vertex
@@ -650,9 +654,8 @@ def decompose_product(
     if n_blocks < m:
         raise ValueError(f"segment holds {n_blocks} combination blocks, needs at least {m}")
 
-    # A word lists vertex ids in product order, the latest time step
-    # first: l is A_l, the hub is C, and -l the commutator [A_l, C].
-    word = walk[::-1]
+    # Steps are vertex ids in time order: l is A_l, the hub is C, and -l
+    # the commutator [A_l, C].
     mats, c = family.stack, comb.product
     # operator_norm refuses a product past double range; no warning precedes that
     with np.errstate(over="ignore", invalid="ignore"):
@@ -661,27 +664,22 @@ def decompose_product(
         for ell in range(1, hub):
             factors[ell], factors[-ell] = mats[ell - 1], comms[ell - 1]
 
-        def product(word) -> np.ndarray:
+        def product(steps) -> np.ndarray:
             p = np.eye(family.dim)
-            for v in reversed(word):
+            for v in steps:
                 p = factors[v] @ p
             return p
 
-        total = product(word)
-        main = list(word)
+        total = product(walk)
+        rest = list(walk)
         correction, term_count = np.zeros((family.dim, family.dim)), 0
-        for settled in range(m):
-            boundary = len(main) - settled  # positions >= boundary hold moved blocks
-            idx = max(i for i in range(boundary) if main[i] == hub)
-            while idx < boundary - 1:
-                nxt = main[idx + 1]
-                if nxt != hub:
-                    correction -= product(main[:idx] + [-nxt] + main[idx + 2 :])
-                    term_count += 1
-                # adjacent combination blocks commute exactly: swap, no term
-                main[idx], main[idx + 1] = nxt, main[idx]
-                idx += 1
-        main_term = product(main[: len(main) - m]) @ product([hub] * m)
+        for k in range(m):
+            j = rest.index(hub)  # rest[:j] are plain factors
+            del rest[j]
+            for i in range(j - 1, -1, -1):
+                correction -= product([hub] * k + rest[:i] + [-rest[i]] + rest[i + 1 :])
+            term_count += j
+        main_term = product(rest) @ product([hub] * m)
         residual = operator_norm(total - (main_term + correction))
     return ProductDecomposition(
         total=total,

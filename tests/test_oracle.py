@@ -795,13 +795,17 @@ def test_decomposition_commuting_family(diag_family, diag_comb):
 def test_decomposition_noncommuting_family(shear_family, shear_comb):
     count_bound, norm_bound = correction_bounds(compute_constants(shear_family, shear_comb))
     assert count_bound == 12  # N * m * (m + 1) / 2 with N = 2, m = 3
-    canonical = [1, 2, 3] * 3  # (1..N, hub)^m: the k-th sweep freezes k*N terms
-    for segment in ([3, 3, 3, 1, 2, 1, 2, 1, 2], [1, 3, 2, 3, 1, 3, 2, 1, 2], canonical):
+    # Each of the m earliest blocks leaves one term per plain step before
+    # it: sum over k of (p_k - k), p_k the position of the (k+1)-th block.
+    # The canonical segment (1..N, hub)^m reaches the bound.
+    for segment, count in (
+        ([3, 3, 3, 1, 2, 1, 2, 1, 2], 0),  # adjacent blocks
+        ([1, 3, 2, 3, 1, 3, 2, 1, 2], 1 + 2 + 3),
+        ([1, 2, 3] * 3, count_bound),
+    ):
         dec = decompose_product(shear_family, shear_comb, segment)
         assert dec.residual <= 1e-10 * max(1.0, operator_norm(dec.total))
-        assert dec.term_count <= count_bound
-        if segment is canonical:
-            assert dec.term_count == count_bound
+        assert dec.term_count == count
         assert operator_norm(dec.correction) <= norm_bound + 1e-9
         assert np.allclose(dec.main_term + dec.correction, dec.total, atol=1e-10)
 

@@ -129,9 +129,14 @@ def reference_constants(family, comb):
 
 def reference_decompose(family, comb, walk):
     """The bytes of total, main_term and correction, the term count and the
-    residual's hex for a valid basis segment, as `decompose_product` formed
-    them with one commutator per subsystem and combination^m by iterated
-    multiplication."""
+    residual's hex for a valid basis segment, with one commutator per
+    subsystem and combination^m by iterated multiplication.
+
+    It keeps, on purpose, the swap formulation that `decompose_product`
+    has since replaced by its closed form: the word reversed so the latest
+    step comes first, each block swapped one adjacent factor at a time,
+    one term frozen per plain factor it passes.  The equality test thus
+    compares two formulations, not a copy of one."""
     hub, m, c = family.size + 1, comb.contraction_power, comb.product
     factors = {hub: c}
     with np.errstate(over="ignore", invalid="ignore"):
@@ -189,13 +194,17 @@ def _basis_segments(family, comb, rng, count=3):
 
 
 def _assert_same_decompositions(family, comb, rng):
+    hub, m = family.size + 1, comb.contraction_power
     for i, seg in enumerate(_basis_segments(family, comb, rng)):
         got = _outcome(_decomposition_key, family, comb, seg)
         assert got == _outcome(reference_decompose, family, comb, seg)
-        if i == 0 and len(got) == 5:
-            # the canonical segment decomposed: its k-th sweep freezes k*N
-            # terms, so the count meets correction_bounds' N*m*(m+1)/2
-            assert got[3] == correction_bounds(compute_constants(family, comb))[0]
+        if len(got) == 5:
+            # one term per plain step before each of the m earliest blocks
+            blocks = [p for p, v in enumerate(seg) if v == hub][:m]
+            assert got[3] == sum(p - k for k, p in enumerate(blocks))
+            if i == 0:
+                # the canonical segment meets correction_bounds' N*m*(m+1)/2
+                assert got[3] == correction_bounds(compute_constants(family, comb))[0]
 
 
 def _same_bits(a, b):

@@ -29,6 +29,10 @@ that ``oracle`` cycle, at the canonical segment (1..N, hub)^m that
 ``swstab verify`` decomposes and at DECOMPOSE_SEGMENTS random segments
 of the basis length drawn as acceptance criterion 4 draws them (each
 vertex uniform among those that fit, at least m combination blocks).
+Those instances have m <= 2, so validation and the factor table take
+most of that row's time.  The ``decompose m=10`` row times the sweep
+itself: the canonical segment of ``generate_random_instance(3, 2, 1066)``
+(m = 10, 165 correction terms).
 
 The schedule rows run the stage on the diagonal pair (d = 2) and on the
 ``schedule`` workload's d = 4 family at seed 0 (the first N = 3, d = 4
@@ -127,6 +131,7 @@ SWEEP_CAP = 300_000  # products per scan of the equality sweep
 SWEEP_SLICE1_HORIZON = 14  # the deepest sweep case also run with slices of 1
 DECOMPOSE_SEGMENTS = 3  # random basis segments per family, after the canonical one
 DECOMPOSE_SEED = 20260823  # the random segments' PCG64 seed, criterion 4's
+DEEP_DECOMPOSE_SEED = 1066  # the (N, d) = (3, 2) instance of the ``decompose m=10`` row, whose m is 10
 
 
 def load_sides(parent: Path, change: Path, tmp: Path) -> dict:
@@ -447,16 +452,18 @@ def main(argv=None) -> int:
             name: {side: (envelope_row(sw, calls), profile_key) for side, sw in packages.items()}
             for name, calls in rows.items()
         }
-        bound["decompose"] = {}
         decompose = [
             (mats, seg)
             for _, mats, seg in decompose_calls(packages["change"], [("", f.subsystems) for f, _ in instances])
         ]
+        deep = packages["change"].generate_random_instance(3, 2, DEEP_DECOMPOSE_SEED).subsystems
+        decompose_rows = {"decompose": decompose, "decompose m=10": [(deep, [1, 2, 3, 4] * 10)]}
         for side, sw in packages.items():
-            bound["decompose"][side] = (
-                [functools.partial(sw.decompose_product, *call) for call in bind(sw, decompose)],
-                decomposition_key,
-            )
+            for name, calls in decompose_rows.items():
+                bound.setdefault(name, {})[side] = (
+                    [functools.partial(sw.decompose_product, *call) for call in bind(sw, calls)],
+                    decomposition_key,
+                )
             for name, row in (schedule_rows(sw, schedule) | ensemble_rows(sw, cycle)).items():
                 bound.setdefault(name, {})[side] = row
         for name, sides in bound.items():
