@@ -45,21 +45,6 @@ from .linalg import (
     operator_norm,
     spectral_radius,
 )
-from .oracle import (
-    BoundCheck,
-    EnumerationCapExceeded,
-    EnvelopeProfile,
-    ProductDecomposition,
-    basis_length,
-    capped_envelope,
-    decompose_product,
-    envelope_constant,
-    envelope_constant_bound,
-    envelope_profile,
-    exchange_identity_residual,
-    exhaustive_bound_check,
-    sound_certified_rate,
-)
 from .search import (
     ContractionError,
     StableCombination,
@@ -79,4 +64,38 @@ from .simulate import (
     verify_ges,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The envelope oracle loads on first use of one of its names (PEP 562):
+# only `swstab verify` and `swstab experiment` on a feasible certificate
+# run it, and it is the largest module.  The other modules stay eager:
+# `simulate` names both a module and the function exported here, and
+# importing the module after a lazy lookup would rebind the name to it.
+_ORACLE_NAMES = frozenset({
+    "BoundCheck",
+    "EnumerationCapExceeded",
+    "EnvelopeProfile",
+    "ProductDecomposition",
+    "basis_length",
+    "capped_envelope",
+    "decompose_product",
+    "envelope_constant",
+    "envelope_constant_bound",
+    "envelope_profile",
+    "exchange_identity_residual",
+    "exhaustive_bound_check",
+    "sound_certified_rate",
+})
+
+
+def __getattr__(name):
+    """An oracle export, or the oracle module, imported on first use."""
+    if name != "oracle" and name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    oracle = import_module(".oracle", __name__)
+    value = oracle if name == "oracle" else getattr(oracle, name)
+    globals()[name] = value  # later lookups find it without this hook
+    return value
+
+
+__all__ = sorted({*(name for name in dir() if not name.startswith("_")), "oracle", *_ORACLE_NAMES})

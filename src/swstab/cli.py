@@ -28,12 +28,6 @@ from .family import MatrixFamily
 from .graph import POLICIES, build_graph, generate_walk, walk_for_horizon, walk_to_signal
 from .instances import InstanceParseError, generate_random_instance, parse_instance, write_instance
 from .linalg import NonFiniteMatrixError, operator_norm
-from .oracle import (
-    basis_length,
-    capped_envelope,
-    decompose_product,
-    exchange_identity_residual,
-)
 from .search import StableCombination, assert_all_unstable, find_stable_combination
 from .simulate import fit_decay, seeded_trials, verify_ges
 
@@ -207,6 +201,9 @@ def cmd_verify(args) -> int:
     print(_cert_line(cert))
     if not cert.feasible:
         return EXIT_INFEASIBLE
+    # imported here, not at the top: the other commands never run the oracle
+    from .oracle import basis_length, capped_envelope, decompose_product, exchange_identity_residual
+
     failures = 0
 
     residual = exchange_identity_residual(family, comb)
@@ -312,6 +309,8 @@ def cmd_experiment(args) -> int:
 
     envelope = None
     if cert.feasible:
+        from .oracle import capped_envelope
+
         envelope, method, _ = capped_envelope(family, comb, cert.rate, cap=PIPELINE_ENUM_CAP)
         cert_dict["envelope_method"] = method
         cert_dict["envelope_constant"] = envelope

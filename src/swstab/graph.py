@@ -97,6 +97,9 @@ class WalkGenerator:
         cycling through the subsystems in ascending order.
       * ``alternate-stable`` -- hub, partner, hub, partner, ...
 
+    Only ``uniform-random`` reads ``seed``; the two deterministic policies
+    ignore it and build no bit generator.
+
     Stream contract: a ``uniform-random`` walk makes the same draws as
     ``Generator(PCG64(seed))`` called as ``integers(1, N + 2)`` for the
     start vertex and ``integers(len(options))`` for each successor, so its
@@ -127,7 +130,7 @@ class WalkGenerator:
         self.graph = graph
         self.policy = policy
         self.partner = partner
-        self._bits = np.random.PCG64(seed)
+        self._bits = np.random.PCG64(seed) if policy == "uniform-random" else None
         self._words: list[int] = []  # buffered 32-bit words, next one last
         self._refill = _FIRST_REFILL
         self._out = graph._out

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -674,3 +676,37 @@ def test_all_stable_family_exits_3_with_one_line(command, tmp_path, capsys):
         report = json.loads((tmp_path / "exp" / "report.json").read_text())
         assert report["assumption_violations"] == [1, 2]
         assert report["combination"]["contraction_norm"] == 0.25
+
+
+# Runs the CLI as `python -m swstab.cli ARGS` does, then prints the exit
+# code and which of the watched modules the process loaded.
+_FOOTPRINT = """
+import json, runpy, sys
+try:
+    runpy.run_module("swstab.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps([code, {name: name in sys.modules for name in ("swstab.oracle", "numpy.random")}]))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, loaded",
+    [
+        (["signal", "diag.json", "--policy", "round-robin", "--out", "sig.csv"], EXIT_OK,
+         {"swstab.oracle": False, "numpy.random": False}),
+        (["experiment", "--n", "10", "--dim", "2", "--seed", "7", "--out", "exp"], EXIT_INFEASIBLE,
+         {"swstab.oracle": False}),
+        (["verify", "diag.json"], EXIT_BOUND_VIOLATED, {"swstab.oracle": True}),
+    ],
+    ids=["signal-round-robin", "experiment-infeasible", "verify"],
+)
+def test_each_command_loads_only_the_stages_it_runs(argv, code, loaded, diag_family, tmp_path, child_env):
+    write_instance(tmp_path / "diag.json", diag_family, name="diagonal-pair")
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, *argv], cwd=tmp_path, env=child_env, capture_output=True, text=True
+    )
+    assert proc.stderr == ""
+    got_code, got_loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert got_code == code
+    assert {name: got_loaded[name] for name in loaded} == loaded

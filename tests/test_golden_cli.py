@@ -4,10 +4,15 @@ Each case runs `swstab.cli.main` in a fresh directory that holds only the
 instance files, and pins the exit code, stdout, stderr and the sha256 of
 every file the command writes.  The values were recorded before the
 switching signal became a per-step sequence; any change in what a command
-prints or writes shows here.
+prints or writes shows here.  Each case also runs as `python -m swstab.cli`
+in a fresh interpreter against the same pins: the in-process run shares
+its interpreter with every other test, so it cannot see a fault that
+depends on which modules a command imports, or in what order.
 """
 
 import hashlib
+import subprocess
+import sys
 
 import pytest
 
@@ -118,17 +123,30 @@ def _instances(directory, diag_family, shear_family):
     )
 
 
+def _written(directory, before) -> dict:
+    """{path: sha256} of the files under `directory` that are not in `before`."""
+    return {
+        path.relative_to(directory).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(set(directory.rglob("*")) - before)
+        if path.is_file()
+    }
+
+
 def run_command(argv, directory, capsys):
     """Exit code, stdout, stderr and {path: sha256} of the files `argv` writes."""
     before = set(directory.rglob("*"))
     code = main(argv)
     captured = capsys.readouterr()
-    written = {
-        path.relative_to(directory).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted(set(directory.rglob("*")) - before)
-        if path.is_file()
-    }
-    return code, captured.out, captured.err, written
+    return code, captured.out, captured.err, _written(directory, before)
+
+
+def run_process(argv, directory, env):
+    """As `run_command`, for `python -m swstab.cli` run from `directory` in `env`."""
+    before = set(directory.rglob("*"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "swstab.cli", *argv], cwd=directory, env=env, capture_output=True, text=True
+    )
+    return proc.returncode, proc.stdout, proc.stderr, _written(directory, before)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -137,3 +155,10 @@ def test_cli_output_is_pinned(name, tmp_path, monkeypatch, capsys, diag_family, 
     _instances(tmp_path, diag_family, shear_family)
     monkeypatch.chdir(tmp_path)
     assert run_command(argv, tmp_path, capsys) == (code, out, err, written)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_output_is_pinned_in_a_fresh_interpreter(name, tmp_path, diag_family, shear_family, child_env):
+    argv, code, out, err, written = GOLDEN[name]
+    _instances(tmp_path, diag_family, shear_family)
+    assert run_process(argv, tmp_path, child_env) == (code, out, err, written)

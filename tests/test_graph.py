@@ -55,6 +55,12 @@ def test_alternate_stable_walk():
     assert generate_walk(g, "alternate-stable", 4, partner=2) == [3, 2, 3, 2]
 
 
+@pytest.mark.parametrize("policy", ["round-robin", "alternate-stable"])
+def test_deterministic_walks_ignore_the_seed(policy):
+    g = build_graph(3)
+    assert generate_walk(g, policy, 20, seed=None) == generate_walk(g, policy, 20, seed=7)
+
+
 def test_uniform_random_walk_is_seeded_and_valid():
     g = build_graph(3)
     w1 = generate_walk(g, "uniform-random", 50, seed=123)
