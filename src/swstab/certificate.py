@@ -60,10 +60,11 @@ class CertificateInputs:
     max_commutator_norm: float  # largest ||A_l C - C A_l|| over the family
     contraction_power: int
     contraction_norm: float
-    head_power: int
-    tail_power: int
+    block_duration: int  # steps of one combination block
 
     def __post_init__(self):
+        if min(self.contraction_power, self.block_duration) < 1:
+            raise ValueError("powers must be positive integers")
         if self.max_subsystem_norm < 1.0:
             # every subsystem is unstable, so its norm is at least its
             # spectral radius, which is at least 1
@@ -74,10 +75,6 @@ class CertificateInputs:
             raise ValueError("norms must be positive / nonnegative")
         if not 0.0 < self.contraction_norm < 1.0:
             raise ValueError("contraction norm must lie in (0, 1)")
-
-    @property
-    def block_duration(self) -> int:
-        return self.head_power + self.tail_power
 
 
 @dataclass(frozen=True)
@@ -117,8 +114,7 @@ def compute_constants(
         max_commutator_norm=float(norms[n + 1:].max()) if finite.all() else math.inf,
         contraction_power=comb.contraction_power,
         contraction_norm=comb.contraction_norm,
-        head_power=comb.head_power,
-        tail_power=comb.tail_power,
+        block_duration=comb.block_duration,
     )
 
 

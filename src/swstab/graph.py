@@ -80,10 +80,8 @@ def validate_walk(graph: SwitchGraph, vertices: Sequence[int]) -> list[int]:
 
 _WORD = 0xFFFFFFFF
 _TWO_32 = 1 << 32
-# The word buffer refills with 8 64-bit outputs at first and twice as many
-# each time after, up to 64, so short walks draw little and long ones
-# refill rarely.
-_FIRST_REFILL, _LAST_REFILL = 8, 64
+# 64-bit outputs the word buffer draws at each refill.
+_REFILL = 32
 
 
 class WalkGenerator:
@@ -132,7 +130,6 @@ class WalkGenerator:
         self.partner = partner
         self._bits = np.random.PCG64(seed) if policy == "uniform-random" else None
         self._words: list[int] = []  # buffered 32-bit words, next one last
-        self._refill = _FIRST_REFILL
         self._out = graph._out
         self._last = 0  # 0 before the first vertex: _out[0] are the start vertices
 
@@ -141,10 +138,9 @@ class WalkGenerator:
         words = self._words
         while True:
             if not words:
-                raw = self._bits.random_raw(self._refill)
+                raw = self._bits.random_raw(_REFILL)
                 # as little-endian 32-bit halves: each output's low half first
                 words += raw.astype("<u8", copy=False).view("<u4")[::-1].tolist()
-                self._refill = min(2 * self._refill, _LAST_REFILL)
             m = words.pop() * k
             if m & _WORD >= (_TWO_32 - k) % k:
                 return m >> 32

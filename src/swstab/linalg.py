@@ -8,10 +8,10 @@ make one LAPACK call per matrix inside one numpy call, and give the same
 bits as the one-matrix kernels on each matrix.
 
 The Schur verdicts (`is_schur_stable` on one matrix, `schur_stable` on a
-stack) of a 2 x 2 matrix come from a closed-form radius (`_radius_2x2`)
-instead, without a LAPACK call; only where that radius lies within a
-band of the threshold, or something leaves double range, do they ask
-LAPACK.  Every verdict is the one LAPACK's radius gives.
+stack) of a 2 x 2 matrix come from a closed form (`_verdict_2x2`, which
+holds the one band test) instead, without a LAPACK call; only where its
+radius lies within a band of the threshold, or something leaves double
+range, do they ask LAPACK.  Every verdict is the one LAPACK's radius gives.
 
 Every operation calls numpy.linalg's own LAPACK gufuncs (see `_lapack`)
 on the same float64 input, so every radius, norm and fitted line has
@@ -42,7 +42,7 @@ SCHUR_MARGIN = 1e-9
 
 # A closed-form radius within this multiple of S, the sum of the moduli of
 # a 2 x 2 matrix's entries, of the threshold 1 - tol leaves the Schur
-# verdict to LAPACK (see `_radius_2x2`).
+# verdict to LAPACK; `_verdict_2x2` alone applies this band.
 _BAND = 2.0**-16
 
 # A stack of matrices that the package forms at once holds at most this
@@ -126,11 +126,12 @@ def _pick(cond, x, y):
     return x if cond else y
 
 
-def _radius_2x2(a, b, c, d, where):
-    """The spectral radius ρ̂ of [[a, b], [c, d]] in closed form, and the sum
-    S = |a| + |b| + |c| + |d|, on Python floats or on float64 arrays of
-    entries alike; `where(cond, x, y)` picks each branch (`_pick` for
-    floats, `np.where` for arrays).
+def _verdict_2x2(a, b, c, d, threshold, where):
+    """The closed-form verdict ρ̂ < θ on [[a, b], [c, d]] (θ = `threshold`)
+    and whether it is sure: ρ̂ finite and |ρ̂ - θ| > _BAND·S, S = |a| + |b|
+    + |c| + |d|.  On Python floats or float64 arrays of entries alike (`&`
+    is one rule on bools and bool arrays); `where(cond, x, y)` picks each
+    branch (`_pick` for floats, `np.where` for arrays).
 
     With τ = (a + d)/2 and disc = ((a - d)/2)² + bc, which is τ² - det
     without the cancellation between them, the eigenvalues are τ ± √disc:
@@ -139,9 +140,8 @@ def _radius_2x2(a, b, c, d, where):
     makes, and inf or nan where an intermediate of its branch leaves
     double range.
 
-    Why a verdict `ρ̂ < θ` (θ = 1 - tol) is the verdict of LAPACK's radius
-    ρ_L wherever ρ̂ is finite and |ρ̂ - θ| > _BAND·S: both lie within
-    _BAND·S/2 of the exact radius ρ.  Write ρ(τ, D) for the largest
+    Why a sure verdict is that of LAPACK's radius ρ_L: ρ̂ and ρ_L both lie
+    within _BAND·S/2 of the exact radius ρ.  Write ρ(τ, D) for the largest
     modulus of τ ± √D.  If τ', D' differ from τ, D by δ, Δ, then √D' is
     within √|Δ| of √D or of -√D (their sum times their difference is Δ),
     so |ρ(τ', D') - ρ(τ, D)| ≤ |δ| + √|Δ|.  Also ‖A‖₂ ≤ S, and both
@@ -176,7 +176,9 @@ def _radius_2x2(a, b, c, d, where):
         abs(0.5 * (a + d)) + abs(disc) ** 0.5,
         where(det >= 0.0, abs(det) ** 0.5, math.nan),
     )
-    return rho, abs(a) + abs(b) + abs(c) + abs(d)
+    gap = abs(rho - threshold)
+    sure = (_BAND * (abs(a) + abs(b) + abs(c) + abs(d)) < gap) & (gap < math.inf)
+    return rho < threshold, sure
 
 
 def is_schur_stable(a, tol: float = SCHUR_MARGIN) -> bool:
@@ -184,18 +186,18 @@ def is_schur_stable(a, tol: float = SCHUR_MARGIN) -> bool:
 
     Marginal matrices (radius within tol of 1) are treated as not stable,
     so no certificate ever rests on rounding noise.  A 2 x 2 matrix is
-    judged by `_radius_2x2` on Python floats (numpy's scalar arithmetic
+    judged by `_verdict_2x2` on Python floats (numpy's scalar arithmetic
     on one matrix costs more than LAPACK) and handed to LAPACK only where
-    that radius is not finite or lies in the band around 1 - tol; the
-    verdict is always the one of `spectral_radius`.
+    that verdict is not sure; the verdict is always the one of
+    `spectral_radius`.
     """
     m = np.asarray(a, dtype=float)
     threshold = 1.0 - tol
     if m.shape == (2, 2):
         (a, b), (c, d) = m.tolist()
-        rho, scale = _radius_2x2(a, b, c, d, _pick)
-        if _BAND * scale < abs(rho - threshold) < math.inf:
-            return rho < threshold
+        stable, sure = _verdict_2x2(a, b, c, d, threshold, _pick)
+        if sure:
+            return stable
     return spectral_radius(m) < threshold
 
 
@@ -203,21 +205,19 @@ def is_schur_stable(a, tol: float = SCHUR_MARGIN) -> bool:
 def schur_stable(stack, tol: float = SCHUR_MARGIN) -> np.ndarray:
     """`is_schur_stable` of every matrix of a (k, d, d) stack, as a bool
     array; of a (d, d) matrix, as a 0-d one.  At d = 2 the closed form
-    (`_radius_2x2`) judges the whole stack at once, and one `spectral_radii`
-    call the matrices it leaves to LAPACK, if any; at other d that call
-    judges them all."""
+    (`_verdict_2x2`) judges the whole stack at once, and one `spectral_radii`
+    call the matrices whose verdict it leaves unsure, if any; at other d
+    that call judges them all."""
     stack = np.asarray(stack, dtype=float)
     threshold = 1.0 - tol
     if stack.shape[-2:] != (2, 2):
         return spectral_radii(stack) < threshold
-    rho, scale = _radius_2x2(
-        stack[..., 0, 0], stack[..., 0, 1], stack[..., 1, 0], stack[..., 1, 1], np.where
+    stable, sure = _verdict_2x2(
+        stack[..., 0, 0], stack[..., 0, 1], stack[..., 1, 0], stack[..., 1, 1], threshold, np.where
     )
-    gap = abs(rho - threshold)
-    stable = np.asarray(rho < threshold)
-    unsure = ~((_BAND * scale < gap) & (gap < math.inf))
-    if unsure.any():
-        stable[unsure] = spectral_radii(stack[unsure]) < threshold
+    stable = np.asarray(stable)
+    if not sure.all():
+        stable[~sure] = spectral_radii(stack[~sure]) < threshold
     return stable
 
 

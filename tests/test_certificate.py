@@ -62,8 +62,7 @@ def test_inputs_validation():
         max_commutator_norm=0.0,
         contraction_power=1,
         contraction_norm=0.48,
-        head_power=1,
-        tail_power=1,
+        block_duration=2,
     )
     CertificateInputs(**kwargs)
     with pytest.raises(ValueError):
@@ -72,6 +71,12 @@ def test_inputs_validation():
         CertificateInputs(**{**kwargs, "contraction_norm": 1.0})
     with pytest.raises(ValueError):
         CertificateInputs(**{**kwargs, "max_commutator_norm": -1.0})
+    # without the check, a zero contraction power divides by zero in
+    # rate_upper_limit and takes log(0) in max_certified_rate
+    with pytest.raises(ValueError, match="powers must be positive integers"):
+        CertificateInputs(**{**kwargs, "contraction_power": 0})
+    with pytest.raises(ValueError, match="powers must be positive integers"):
+        CertificateInputs(**{**kwargs, "contraction_power": 0, "block_duration": 0})
 
 
 def test_max_rate_none_when_infeasible_at_zero(diag_family, diag_comb):
@@ -155,8 +160,7 @@ def test_lhs_strictly_increasing_in_rate(rate, bump):
         max_commutator_norm=0.01,
         contraction_power=2,
         contraction_norm=0.6,
-        head_power=1,
-        tail_power=2,
+        block_duration=3,
     )
     assert sum(_lhs_terms(ins, rate + bump)) > sum(_lhs_terms(ins, rate))
 
@@ -171,8 +175,7 @@ def test_lhs_strictly_increasing_in_commutator_norm(eps, bump):
         max_commutator_norm=eps,
         contraction_power=2,
         contraction_norm=0.6,
-        head_power=1,
-        tail_power=2,
+        block_duration=3,
     )
     bigger = replace(base, max_commutator_norm=eps + bump)
     assert sum(_lhs_terms(bigger, 0.05)) > sum(_lhs_terms(base, 0.05))

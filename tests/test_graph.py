@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import swstab.graph
 from swstab import (
     WalkGenerator,
     build_graph,
@@ -244,10 +245,16 @@ def _scalar_walk_for_horizon(graph, comb, policy, seed, horizon, partner=1):
     return walk
 
 
-@pytest.mark.parametrize("n", range(1, 11))
-def test_walks_equal_the_scalar_draws(n):
+@pytest.mark.parametrize(
+    "n, refill",
+    [pytest.param(n, 8, id=str(n)) for n in range(1, 11)]
+    + [pytest.param(n, 1, id=f"{n}-refill1") for n in (1, 2, 3, 10)],
+)
+def test_walks_equal_the_scalar_draws(n, refill, monkeypatch):
     # 2,000 integer seeds per policy; walks of 1..32 vertices end before,
-    # at and after the word buffer's first refill (16 words).
+    # at and after a refill of the word buffer: the first one at 16 words
+    # with refills of 8 outputs, and every second word with refills of 1.
+    monkeypatch.setattr(swstab.graph, "_REFILL", refill)
     graph = build_graph(n)
     for policy in POLICIES:
         for seed in range(2000):
@@ -264,7 +271,7 @@ def test_walks_equal_the_scalar_draws_across_takes(n):
         gen = WalkGenerator(graph, "uniform-random", seed=seed)
         got = gen.take(1) + gen.take(50) + gen.take(149)
         assert got == _ScalarWalkGenerator(graph, "uniform-random", seed).take(200)
-    # long enough for the buffer to reach its largest refill
+    # long enough to cross many refills of the real size
     for seed in range(3):
         got = WalkGenerator(graph, "uniform-random", seed=seed).take(6000)
         assert got == _ScalarWalkGenerator(graph, "uniform-random", seed).take(6000)

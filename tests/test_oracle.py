@@ -816,7 +816,7 @@ def test_correction_bounds_past_double_range():
     inputs = CertificateInputs(
         n_subsystems=3, max_subsystem_norm=1e160, combination_norm=2.0,
         max_commutator_norm=1.0, contraction_power=1, contraction_norm=0.5,
-        head_power=1, tail_power=1,
+        block_duration=2,
     )
     assert correction_bounds(inputs) == (3, math.inf)
     assert correction_bounds(dataclasses.replace(inputs, max_commutator_norm=0.0)) == (3, 0.0)
@@ -829,7 +829,7 @@ def test_correction_bound_stays_finite_where_a_power_overflows():
     inputs = CertificateInputs(
         n_subsystems=3, max_subsystem_norm=1e160, combination_norm=2.0,
         max_commutator_norm=1e-100, contraction_power=1, contraction_norm=0.5,
-        head_power=1, tail_power=1,
+        block_duration=2,
     )
     count, norm = correction_bounds(inputs)
     assert count == 3

@@ -122,8 +122,7 @@ def reference_constants(family, comb):
         max_commutator_norm=max(comms),
         contraction_power=comb.contraction_power,
         contraction_norm=comb.contraction_norm,
-        head_power=comb.head_power,
-        tail_power=comb.tail_power,
+        block_duration=comb.head_power + comb.tail_power,
     )
 
 

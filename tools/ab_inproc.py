@@ -46,7 +46,10 @@ population instance with a combination), under the seed-0
   products;
 - ``160 walks``: SHORT_WALKS ``uniform-random`` walks of SHORT_STEPS
   vertices on graphs of N = 1..6, each followed by ``validate_walk`` and
-  ``max_stable_gap``.
+  ``max_stable_gap``;
+- ``long walks``: one ``uniform-random`` walk of the benchmark's
+  LONG_STEPS (1,400) vertices on each graph of N in LONG_WALK_NS, which
+  crosses many refills of the walk generator's word buffer.
 
 The ensemble rows take the instances of one cycle of the benchmark's
 ``ensemble`` workload at seed 0 (d = 2):
@@ -127,6 +130,7 @@ SIZING_CALLS = 7  # timed passes whose median sizes a row's repetitions
 SCHEDULE_HORIZON = 400  # steps of the schedule rows' trajectories and products
 SCHEDULE_STATES = 20  # initial states per family of the simulate rows
 SHORT_WALKS, SHORT_STEPS = 160, 20
+LONG_WALK_NS = (2, 3, 10)  # graphs of the ``long walks`` row
 SWEEP_CAP = 300_000  # products per scan of the equality sweep
 SWEEP_SLICE1_HORIZON = 14  # the deepest sweep case also run with slices of 1
 DECOMPOSE_SEGMENTS = 3  # random basis segments per family, after the canonical one
@@ -263,6 +267,8 @@ def short_walks(sw) -> list:
 def schedule_rows(sw, families) -> dict:
     """The schedule rows of package `sw` as thunks, with each row's key
     that turns an outcome into what the equality gate compares."""
+    import workloads
+
     runs = []
     for family, comb, h in bind(sw, [(mats, SCHEDULE_HORIZON) for mats in families]):
         graph = sw.build_graph(family.size)
@@ -287,6 +293,11 @@ def schedule_rows(sw, families) -> dict:
         lambda fit: (fit.amplitude.hex(), fit.rate.hex()),
     )
     rows[f"{SHORT_WALKS} walks"] = ([functools.partial(short_walks, sw)], lambda out: out)
+    rows["long walks"] = (
+        [functools.partial(sw.generate_walk, sw.build_graph(n), "uniform-random", workloads.LONG_STEPS, seed=(0, n))
+         for n in LONG_WALK_NS],
+        lambda walk: walk,
+    )
     return rows
 
 
