@@ -258,6 +258,18 @@ def test_experiment_random_instance_written(tmp_path, capsys):
     assert data["dim"] == 2
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: experiment samples schedules and never plays the diverging periodic walk (2, hub)",
+)
+def test_experiment_flags_the_certified_instance_that_diverges(tmp_path, capsys):
+    # generate_random_instance(2, 2, 3592) is certified at rate 0.00336, yet
+    # the admissible closed walk (2, hub) has spectral radius 1.0410
+    # (tests/test_certificate.py); `verify` exits 4 on it.
+    argv = ["experiment", "--n", "2", "--dim", "2", "--seed", "3592", "--out", str(tmp_path / "exp")]
+    assert main(argv) == EXIT_BOUND_VIOLATED
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -69,3 +69,21 @@ def test_submodule_imports_keep_the_exported_names(child_env):
     proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True)
     assert proc.stderr == ""
     assert proc.stdout == "True True True\n"
+
+
+def test_star_import_binds_every_export(child_env):
+    code = "from swstab import *\nprint(*sorted(name for name in dir() if not name.startswith('_')))\n"
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True)
+    assert proc.stderr == ""
+    assert proc.stdout.split() == EXPORTS
+
+
+def test_private_lookups_leave_the_oracle_unloaded(child_env):
+    code = (
+        "import sys\n"
+        "import swstab\n"
+        "print(hasattr(swstab, '_x'), getattr(swstab, '__wrapped__', None), 'swstab.oracle' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env, capture_output=True, text=True)
+    assert proc.stderr == ""
+    assert proc.stdout == "False None False\n"
