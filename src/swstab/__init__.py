@@ -29,9 +29,9 @@ def _defined(module):
 # it, and it is the largest module.  The other modules stay eager:
 # `simulate` names both a module and the function exported here, and
 # importing the module after a lazy lookup would rebind the name to it.
-# Trade-offs: static analysers do not see the re-exported names (nor
-# could they see the oracle's before), and an unknown public name such
-# as `swstab.no_such_name` imports the oracle before it raises.
+# Trade-offs: static analysers do not see the re-exported names (the
+# oracle's are lazy in any case), and an unknown public name such as
+# `swstab.no_such_name` imports the oracle before it raises.
 for _module in (certificate, family, graph, instances, search, simulate):
     globals().update(_defined(_module))
 del _module

@@ -262,7 +262,7 @@ def test_experiment_random_instance_written(tmp_path, capsys):
     strict=True,
     reason="ROADMAP item 1: experiment samples schedules and never plays the diverging periodic walk (2, hub)",
 )
-def test_experiment_flags_the_certified_instance_that_diverges(tmp_path, capsys):
+def test_experiment_flags_the_certified_instance_that_diverges(tmp_path):
     # generate_random_instance(2, 2, 3592) is certified at rate 0.00336, yet
     # the admissible closed walk (2, hub) has spectral radius 1.0410
     # (tests/test_certificate.py); `verify` exits 4 on it.
